@@ -83,20 +83,43 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                           "the hierarchical multi-node topology (N-GPU "
                           "domains joined by NIC rails); default: the "
                           "node preset's full size")
-    sub.add_argument("--no-shard", action="store_true",
-                     help="keep the flat single-heap calendar even on a "
-                          "hierarchical topology (A/B check: results are "
-                          "byte-identical to sharded dispatch)")
     sub.add_argument("--sanitize", action="store_true",
                      help="attach the happens-before race detector "
                           "(repro.sanitize); findings are printed, added to "
                           "the trace as instant events, and exit status 1")
 
 
+def _config(args: argparse.Namespace):
+    """The :class:`StencilConfig` described by the run options."""
+    from repro.stencil.base import StencilConfig
+
+    extra = {}
+    if args.domain_gpus is not None:
+        if args.domain_gpus <= 0:
+            raise CliError("--domain-gpus must be positive")
+        from dataclasses import replace
+
+        from repro.hw import HGX_A100_8GPU
+
+        extra["node"] = replace(
+            HGX_A100_8GPU,
+            num_gpus=min(args.domain_gpus, args.gpus),
+            nvswitch_domain_gpus=args.domain_gpus,
+        )
+    return StencilConfig(
+        global_shape=args.shape,
+        num_gpus=args.gpus,
+        iterations=args.iterations,
+        no_compute=args.no_compute,
+        fault_profile=args.fault_profile,
+        **extra,
+    )
+
+
 def _run_variant(args: argparse.Namespace):
     """Execute the configured stencil run under a fresh registry."""
     # import here so `diff`/`regress` work without pulling in the simulator
-    from repro.stencil.base import VARIANTS, StencilConfig
+    from repro.stencil.base import VARIANTS
 
     if args.variant not in VARIANTS:
         raise CliError(
@@ -104,30 +127,12 @@ def _run_variant(args: argparse.Namespace):
         )
     registry = MetricsRegistry()
     with use_metrics(registry):
-        extra = {}
-        if args.domain_gpus is not None:
-            if args.domain_gpus <= 0:
-                raise CliError("--domain-gpus must be positive")
-            from dataclasses import replace
-
-            from repro.hw import HGX_A100_8GPU
-
-            extra["node"] = replace(
-                HGX_A100_8GPU,
-                num_gpus=min(args.domain_gpus, args.gpus),
-                nvswitch_domain_gpus=args.domain_gpus,
-            )
-        if args.no_shard:
-            extra["shard_scheduler"] = False
-        config = StencilConfig(
-            global_shape=args.shape,
-            num_gpus=args.gpus,
-            iterations=args.iterations,
-            no_compute=args.no_compute,
-            fault_profile=args.fault_profile,
-            **extra,
-        )
-        variant = VARIANTS[args.variant](config)
+        # bad shape/GPU/domain combinations surface as ValueError while
+        # the node, config and decomposition are built: a usage error
+        try:
+            variant = VARIANTS[args.variant](_config(args))
+        except ValueError as exc:
+            raise CliError(f"invalid run configuration: {exc}") from None
         sanitizer = None
         if getattr(args, "sanitize", False):
             from repro.sanitize import attach_sanitizer
@@ -163,8 +168,6 @@ def _run_meta(args: argparse.Namespace) -> dict:
     # run block (and the goldens pinning it) stays byte-identical
     if args.domain_gpus is not None:
         meta["domain_gpus"] = args.domain_gpus
-    if args.no_shard:
-        meta["no_shard"] = True
     return meta
 
 

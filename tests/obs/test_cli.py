@@ -46,6 +46,17 @@ class TestRunCommands:
         assert err.startswith("error: unknown variant 'nope'")
         assert "cpufree" in err  # lists the valid choices
 
+    @pytest.mark.parametrize("argv", [
+        ["--gpus", "16", "--domain-gpus", "3"],  # not whole domains
+        ["--gpus", "3", "--shape", "10x10"],  # too few rows per rank
+    ])
+    def test_invalid_configuration_is_a_cli_error(self, capsys, argv):
+        """Bad input exits 2 with one line, never 1 (a finding)."""
+        assert cli_entry(main, ["summary", *argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid run configuration: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestOutputs:
     def test_metrics_out_byte_identical_across_runs(self, tmp_path):
