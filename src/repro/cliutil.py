@@ -11,15 +11,23 @@ can distinguish a bad verdict from a bad invocation.
 
 :func:`parse_shape` is the shared ``argparse`` type for ``WxH[xD]``
 domain shapes, previously copy-pasted into three CLIs.
+:func:`run_configuration` turns a bad shape/GPU/domain/iteration
+combination into such an error, and :func:`stencil_config` uses it to
+check a stencil run's configuration before any run starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
-__all__ = ["CliError", "cli_entry", "parse_shape"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stencil.base import StencilConfig
+
+__all__ = ["CliError", "cli_entry", "parse_shape", "run_configuration",
+           "stencil_config"]
 
 
 class CliError(Exception):
@@ -52,3 +60,32 @@ def parse_shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"bad shape {text!r}: dims must be positive")
     return shape
+
+
+@contextmanager
+def run_configuration() -> Iterator[None]:
+    """Report a ``ValueError`` raised while a run's node, config or
+    decomposition is built as ``invalid run configuration: ...``.
+
+    Such an error is bad input, not a verdict, so it must not surface as
+    a traceback with exit 1 — which ``repro.sanitize`` reads as "race
+    found".
+    """
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"invalid run configuration: {exc}") from None
+
+
+def stencil_config(shape: tuple[int, ...], gpus: int, iterations: int,
+                   **fields: Any) -> "StencilConfig":
+    """A stencil run's config with its slab decomposition checked, so a
+    sweep or matrix fails once, before its first run."""
+    from repro.stencil.base import StencilConfig
+    from repro.stencil.grid import SlabDecomposition
+
+    with run_configuration():
+        config = StencilConfig(global_shape=shape, num_gpus=gpus,
+                               iterations=iterations, **fields)
+        SlabDecomposition(config.global_shape, config.num_gpus)
+    return config

@@ -23,7 +23,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cliutil import CliError, cli_entry, parse_shape
+from repro.cliutil import CliError, cli_entry, parse_shape, stencil_config
 from repro.faults.harness import DEFAULT_MATRIX_PROFILES, render_report, run_matrix
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
@@ -68,6 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     unknown = sorted(set(variants) - set(variant_names()))
     if unknown:
         raise CliError(f"unknown variant(s) {unknown}; choose from {variant_names()}")
+    stencil_config(args.shape, args.gpus, args.iterations)  # before any cell
 
     registry = MetricsRegistry()
     with use_metrics(registry):

@@ -43,7 +43,7 @@ import argparse
 import json
 import sys
 
-from repro.cliutil import CliError, cli_entry, parse_shape
+from repro.cliutil import CliError, cli_entry, parse_shape, run_configuration
 from repro.obs.critical import critical_path
 from repro.obs.diff import diff_metrics, load_metrics
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -127,12 +127,8 @@ def _run_variant(args: argparse.Namespace):
         )
     registry = MetricsRegistry()
     with use_metrics(registry):
-        # bad shape/GPU/domain combinations surface as ValueError while
-        # the node, config and decomposition are built: a usage error
-        try:
+        with run_configuration():
             variant = VARIANTS[args.variant](_config(args))
-        except ValueError as exc:
-            raise CliError(f"invalid run configuration: {exc}") from None
         sanitizer = None
         if getattr(args, "sanitize", False):
             from repro.sanitize import attach_sanitizer

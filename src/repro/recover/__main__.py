@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from repro.cliutil import CliError, cli_entry, parse_shape
+from repro.cliutil import CliError, cli_entry, parse_shape, stencil_config
 from repro.faults.profiles import get_plan
 from repro.obs.stablejson import dumps_stable
 from repro.recover.runner import UnrecoverableCrashError, run_with_recovery
@@ -56,7 +56,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     import repro.stencil.variants  # noqa: F401 - populate the registry
-    from repro.stencil.base import VARIANTS, StencilConfig, variant_names
+    from repro.stencil.base import VARIANTS, variant_names
     from repro.stencil.reference import jacobi_reference
     from repro.stencil.base import default_initial
 
@@ -67,12 +67,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.checkpoint_every is not None and args.checkpoint_every <= 0:
         raise CliError("--checkpoint-every must be positive")
 
-    config = StencilConfig(
-        global_shape=args.shape,
-        num_gpus=args.gpus,
-        iterations=args.iterations,
-        fault_profile=args.profile,
-    )
+    config = stencil_config(args.shape, args.gpus, args.iterations,
+                            fault_profile=args.profile)
     try:
         outcome = run_with_recovery(
             VARIANTS[args.variant], config,

@@ -25,7 +25,7 @@ JSON reports.
 from __future__ import annotations
 
 from repro.sanitize.detect import RaceFinding, detect_races
-from repro.sanitize.hb import HBMonitor, VectorClock
+from repro.sanitize.hb import HBMonitor
 from repro.sanitize.recorder import Access, Sanitizer, attach_sanitizer
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "HBMonitor",
     "RaceFinding",
     "Sanitizer",
-    "VectorClock",
     "attach_sanitizer",
     "detect_races",
 ]

@@ -31,13 +31,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
-from repro.cliutil import CliError, cli_entry, parse_shape
+from repro.cliutil import CliError, cli_entry, parse_shape, run_configuration, stencil_config
 from repro.sanitize.detect import detect_races
 from repro.sanitize.recorder import attach_sanitizer
 from repro.sanitize.report import apply_suppressions, dumps_report, render_findings
 from repro.sanitize.seeded import SEEDED_VARIANTS
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.stencil.base import StencilConfig
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
@@ -56,11 +59,10 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      help="write the byte-stable JSON report to PATH")
 
 
-def _sanitized_run(name: str, args: argparse.Namespace):
+def _sanitized_run(name: str, config: "StencilConfig"):
     """Run one variant with the detector attached; returns
     (result, sanitizer, findings)."""
-    from repro.sanitize.seeded import SEEDED_VARIANTS
-    from repro.stencil.base import VARIANTS, StencilConfig
+    from repro.stencil.base import VARIANTS
 
     cls = VARIANTS.get(name) or SEEDED_VARIANTS.get(name)
     if cls is None:
@@ -68,16 +70,16 @@ def _sanitized_run(name: str, args: argparse.Namespace):
             f"unknown variant {name!r}; choose from "
             f"{sorted(VARIANTS) + sorted(SEEDED_VARIANTS)}"
         )
-    config = StencilConfig(
-        global_shape=args.shape,
-        num_gpus=args.gpus,
-        iterations=args.iterations,
-        fault_profile=args.fault_profile,
-    )
-    variant = cls(config)
+    with run_configuration():
+        variant = cls(config)
     sanitizer = attach_sanitizer(variant.ctx)
     result = variant.run()
     return result, sanitizer, detect_races(sanitizer)
+
+
+def _stencil_config(args: argparse.Namespace) -> "StencilConfig":
+    return stencil_config(args.shape, args.gpus, args.iterations,
+                          fault_profile=args.fault_profile)
 
 
 def _config_block(args: argparse.Namespace) -> dict[str, Any]:
@@ -98,7 +100,7 @@ def _write_report(args: argparse.Namespace, report: dict[str, Any]) -> None:
 
 
 def _run_command(args: argparse.Namespace) -> int:
-    result, sanitizer, findings = _sanitized_run(args.variant, args)
+    result, sanitizer, findings = _sanitized_run(args.variant, _stencil_config(args))
     described, n_active = apply_suppressions(
         [f.describe() for f in findings], args.suppress
     )
@@ -131,11 +133,12 @@ def _run_command(args: argparse.Namespace) -> int:
 def _sweep_command(args: argparse.Namespace) -> int:
     from repro.stencil.base import VARIANTS
 
+    config = _stencil_config(args)  # bad input fails before any run
     variants: dict[str, Any] = {}
     ok = True
     for name in sorted(VARIANTS) + sorted(SEEDED_VARIANTS):
         expect_clean = name not in SEEDED_VARIANTS
-        _result, sanitizer, findings = _sanitized_run(name, args)
+        _result, sanitizer, findings = _sanitized_run(name, config)
         described, n_active = apply_suppressions(
             [f.describe() for f in findings], args.suppress
         )

@@ -3,27 +3,38 @@
 Two accesses race when they touch overlapping offsets of the same PE's
 copy of a symmetric allocation, at least one is a write, they come from
 different processes, and no chain of synchronization edges orders them
-(:func:`~repro.sanitize.hb.happens_before` on the recorded clock
-snapshots).
+(:func:`~repro.sanitize.hb.happens_before` on the recorded clocks).
 
 Because the engine is single-threaded, the recorded sequence respects
 real execution order: for ``a`` recorded before ``b``, ``b`` cannot
 causally precede ``a``, so only the ``a -> b`` direction needs
-checking.  Findings are deduplicated by *site pair* (the instrumented
-source locations), keeping the earliest occurrence and a count — one
-missing signal produces one finding per conflicting site pair, not one
-per iteration.
+checking.  That check needs only ``a``'s own component and one
+component of ``b``'s clock, so each ``(array, owner_pe)`` group
+gathers ``seen[b, a] = b.clock[a.tid]`` into a matrix and evaluates
+the whole pair predicate with array operations, in blocks of rows that
+bound memory on long runs.
+
+Findings are deduplicated by *site pair* (the instrumented source
+locations), keeping the earliest occurrence and a count — one missing
+signal produces one finding per conflicting site pair, not one per
+iteration.  Racing pairs come out in ``(b, a)`` row-major order, the
+order of the pairwise loop ``for b: for a before b``, so the kept
+occurrence is the first pair that loop meets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Iterator
 
-from repro.sanitize.hb import happens_before
+import numpy as np
+
 from repro.sanitize.recorder import Access, Sanitizer
 
 __all__ = ["RaceFinding", "detect_races"]
+
+#: pair-matrix cells evaluated at once (bounds memory, not results)
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass
@@ -87,32 +98,61 @@ def detect_races(sanitizer: Sanitizer) -> list[RaceFinding]:
 
     found: dict[tuple, RaceFinding] = {}
     for (array, owner_pe), accesses in groups.items():
-        for j, b in enumerate(accesses):
-            for i in range(j):
-                a = accesses[i]
-                if a.kind == "read" and b.kind == "read":
-                    continue
-                if a.tid == b.tid:  # program order
-                    continue
-                lo = max(a.lo, b.lo)
-                hi = min(a.hi, b.hi)
-                if lo >= hi:  # disjoint offsets
-                    continue
-                if happens_before(a.tid, a.clock, b.clock):
-                    continue
-                finding = RaceFinding(
-                    array=array,
-                    owner_pe=owner_pe,
-                    kind=f"{a.kind}-{b.kind}",
-                    offsets=(lo, hi),
-                    first=a,
-                    second=b,
-                )
-                prior = found.get(finding.dedup_key)
-                if prior is None:
-                    found[finding.dedup_key] = finding
-                else:
-                    prior.count += 1
+        for j, i in _racing_pairs(accesses):
+            a, b = accesses[i], accesses[j]
+            finding = RaceFinding(
+                array=array,
+                owner_pe=owner_pe,
+                kind=f"{a.kind}-{b.kind}",
+                offsets=(max(a.lo, b.lo), min(a.hi, b.hi)),
+                first=a,
+                second=b,
+            )
+            prior = found.get(finding.dedup_key)
+            if prior is None:
+                found[finding.dedup_key] = finding
+            else:
+                prior.count += 1
     findings = sorted(found.values(),
                       key=lambda f: (f.first.seq, f.second.seq))
     return findings
+
+
+def _racing_pairs(accesses: list[Access]) -> Iterator[tuple[int, int]]:
+    """``(j, i)`` index pairs, ``i < j``, of racing accesses in one
+    group, in row-major order."""
+    n = len(accesses)
+    tid = np.fromiter((a.tid for a in accesses), np.int64, n)
+    lo = np.fromiter((a.lo for a in accesses), np.int64, n)
+    hi = np.fromiter((a.hi for a in accesses), np.int64, n)
+    write = np.fromiter((a.kind != "read" for a in accesses), bool, n)
+
+    own = np.fromiter((a.clock[a.tid] for a in accesses), np.int64, n)
+    tids, col = np.unique(tid, return_inverse=True)
+
+    block = max(1, _BLOCK_CELLS // n)
+    for j0 in range(1, n, block):
+        j1 = min(n, j0 + block)
+        b = slice(j0, j1)
+        # forward pairs only: column i before row j
+        race = np.arange(j1) < np.arange(j0, j1)[:, None]
+        race &= _seen(accesses[b], tids)[:, col[:j1]] < own[:j1]
+        race &= write[b, None] | write[:j1]
+        race &= tid[b, None] != tid[:j1]
+        race &= (lo[b, None] < hi[:j1]) & (lo[:j1] < hi[b, None])
+        rows, cols = np.nonzero(race)
+        yield from zip((rows + j0).tolist(), cols.tolist())
+
+
+def _seen(accesses: list[Access], tids: np.ndarray) -> np.ndarray:
+    """``seen[r, c] = accesses[r].clock[tids[c]]``, zero past a clock's
+    end; gathered per clock width, of which few occur."""
+    seen = np.zeros((len(accesses), len(tids)), np.int64)
+    by_width: dict[int, list[int]] = {}
+    for r, a in enumerate(accesses):
+        by_width.setdefault(len(a.clock), []).append(r)
+    for width, rows in by_width.items():
+        fits = tids < width
+        clocks = np.stack([accesses[r].clock for r in rows])
+        seen[np.ix_(rows, fits)] = clocks[:, tids[fits]]
+    return seen

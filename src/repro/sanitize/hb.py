@@ -29,6 +29,15 @@ Two subtleties, mirrored from the engine:
 * a ``WaitFlag`` that resumes via *timeout* never observed the flag —
   the engine deliberately performs no ``acquired`` for it.
 
+Clocks are tid-indexed ``int64`` vectors (entries past a vector's end
+are zero) and are treated as immutable values: a join builds a new
+vector, so an access record or a flag can share the very vector a
+process holds.  A process's vector is mutated in place only while the
+monitor is its sole holder; a tick after it was handed out copies it
+first.  New vectors are allocated at the monitor's current width,
+which doubles when a spawn outgrows it, so most joins see equal
+lengths.
+
 Clock maps are keyed by the live ``Process`` / ``Flag`` objects (which
 also keeps them alive): ``id()`` reuse after garbage collection would
 otherwise merge a dead process's clock into an unrelated new one and
@@ -39,34 +48,42 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.engine import Flag, Process
 
-__all__ = ["HBMonitor", "VectorClock", "happens_before"]
+__all__ = ["HBMonitor", "component", "happens_before", "join"]
 
 #: tid used for code running outside any DES process (the host setup
 #: code that fills initial conditions, sets flags to 1, etc.).
 MAIN_TID = 0
 
-
-class VectorClock(dict):
-    """``{tid: count}`` vector clock; missing entries are zero."""
-
-    __slots__ = ()
-
-    def join(self, other: dict[int, int]) -> None:
-        """In-place component-wise max (the HB join)."""
-        for tid, count in other.items():
-            if self.get(tid, 0) < count:
-                self[tid] = count
-
-    def copy(self) -> "VectorClock":
-        return VectorClock(self)
+#: width of the first clock vectors; doubled as tids outgrow it
+_INITIAL_WIDTH = 64
 
 
-def happens_before(
-    a_tid: int, a_clock: dict[int, int], b_clock: dict[int, int]
-) -> bool:
+def join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Component-wise max of two clocks (the HB join), as a new clock.
+
+    The shorter clock's missing tail counts as zeros.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if len(a) == len(b):
+        return np.maximum(a, b)
+    out = a.copy()
+    head = out[:len(b)]
+    np.maximum(head, b, out=head)
+    return out
+
+
+def component(clock: np.ndarray, tid: int) -> int:
+    """``clock``'s count for ``tid`` (zero past the vector's end)."""
+    return int(clock[tid]) if tid < len(clock) else 0
+
+
+def happens_before(a_tid: int, a_clock: np.ndarray, b_clock: np.ndarray) -> bool:
     """Did the event stamped ``(a_tid, a_clock)`` happen-before an
     event stamped with ``b_clock``?
 
@@ -74,75 +91,110 @@ def happens_before(
     count at the time of the event — i.e. some chain of sync edges
     carried ``a``'s progress to ``b``.
     """
-    return b_clock.get(a_tid, 0) >= a_clock.get(a_tid, 0)
+    return component(b_clock, a_tid) >= component(a_clock, a_tid)
+
+
+class _ProcClock:
+    """A process's tid and current clock; ``private`` while nothing but
+    the monitor holds that vector."""
+
+    __slots__ = ("tid", "clock", "private")
+
+    def __init__(self, tid: int, clock: np.ndarray) -> None:
+        self.tid = tid
+        self.clock = clock
+        self.private = True
+
+    def tick(self) -> None:
+        """Advance the own component: a release point."""
+        if not self.private:
+            self.clock = self.clock.copy()
+            self.private = True
+        self.clock[self.tid] += 1
+
+    def join(self, other: np.ndarray) -> None:
+        self.clock = join(self.clock, other)
+        self.private = True
 
 
 class HBMonitor:
     """Engine monitor (``Simulator.monitor``) maintaining vector clocks.
 
     Install with ``sim.monitor = HBMonitor()``; the recorder
-    (:class:`repro.sanitize.recorder.Sanitizer`) snapshots
-    :meth:`clock_of` at each tracked heap access.
+    (:class:`repro.sanitize.recorder.Sanitizer`) stores the vector
+    :meth:`clock_of` returns at each tracked heap access.
     """
 
     def __init__(self) -> None:
         self._next_tid = MAIN_TID + 1
+        self._width = _INITIAL_WIDTH
         # keyed by Process object; None stands for host/main code
-        self._tids: dict[object, int] = {}
-        self._proc_clocks: dict[object, VectorClock] = {}
-        self._flag_clocks: dict[object, VectorClock] = {}
-        self._main_clock = VectorClock({MAIN_TID: 1})
+        self._procs: dict[object, _ProcClock] = {
+            None: _ProcClock(MAIN_TID, self._fresh(MAIN_TID))}
+        self._flag_clocks: dict[object, np.ndarray] = {}
+
+    def _fresh(self, tid: int, base: np.ndarray | None = None) -> np.ndarray:
+        """A new full-width vector: ``base`` (if any) with ``tid`` at 1."""
+        while tid >= self._width:
+            self._width *= 2
+        clock = np.zeros(self._width, np.int64)
+        if base is not None:
+            clock[:len(base)] = base
+        clock[tid] = 1
+        return clock
+
+    def _new(self, proc: "Process", base: np.ndarray | None) -> _ProcClock:
+        tid = self._next_tid
+        self._next_tid += 1
+        state = self._procs[proc] = _ProcClock(tid, self._fresh(tid, base))
+        return state
+
+    def _proc(self, proc: "Process | None") -> _ProcClock:
+        state = self._procs.get(proc)
+        if state is None:
+            # process observed before its spawn hook (defensive): it
+            # inherits nothing but its own component.
+            state = self._new(proc, None)
+        return state
 
     # -- identity ------------------------------------------------------------
 
     def tid_of(self, proc: "Process | None") -> int:
-        if proc is None:
-            return MAIN_TID
-        tid = self._tids.get(proc)
-        if tid is None:
-            tid = self._tids[proc] = self._next_tid
-            self._next_tid += 1
-        return tid
+        return self._proc(proc).tid
 
-    def clock_of(self, proc: "Process | None") -> VectorClock:
-        if proc is None:
-            return self._main_clock
-        clock = self._proc_clocks.get(proc)
-        if clock is None:
-            # process observed before its spawn hook (defensive): it
-            # inherits nothing but its own component.
-            clock = self._proc_clocks[proc] = VectorClock({self.tid_of(proc): 1})
-        return clock
+    def clock_of(self, proc: "Process | None") -> np.ndarray:
+        """``proc``'s current clock; the caller may keep it — later
+        events never change the returned vector."""
+        state = self._proc(proc)
+        state.private = False
+        return state.clock
 
     # -- engine hook protocol ------------------------------------------------
 
     def spawned(self, child: "Process", parent: "Process | None") -> None:
-        parent_clock = self.clock_of(parent)
-        child_clock = parent_clock.copy()
-        child_clock[self.tid_of(child)] = 1
-        self._proc_clocks[child] = child_clock
+        parent_state = self._proc(parent)
+        self._new(child, parent_state.clock)
         # tick the parent: the spawn is a release point for it
-        parent_clock[self.tid_of(parent)] = parent_clock.get(self.tid_of(parent), 0) + 1
+        parent_state.tick()
 
     def released(self, flag: "Flag", releaser: "Process | None") -> None:
-        clock = self.clock_of(releaser)
+        state = self._proc(releaser)
         flag_clock = self._flag_clocks.get(flag)
         if flag_clock is None:
-            flag_clock = self._flag_clocks[flag] = VectorClock()
-        flag_clock.join(clock)
-        tid = self.tid_of(releaser)
-        clock[tid] = clock.get(tid, 0) + 1
+            self._flag_clocks[flag] = state.clock
+            state.private = False
+        else:
+            self._flag_clocks[flag] = join(flag_clock, state.clock)
+        state.tick()
 
     def acquired(self, proc: "Process", flag: "Flag") -> None:
         flag_clock = self._flag_clocks.get(flag)
-        if flag_clock:
-            self.clock_of(proc).join(flag_clock)
+        if flag_clock is not None:
+            self._proc(proc).join(flag_clock)
 
     def finished(self, proc: "Process") -> None:
         # tick so the final clock is a proper release point for joiners
-        clock = self.clock_of(proc)
-        tid = self.tid_of(proc)
-        clock[tid] = clock.get(tid, 0) + 1
+        self._proc(proc).tick()
 
     def joined(self, joiner: "Process", target: "Process") -> None:
-        self.clock_of(joiner).join(self.clock_of(target))
+        self._proc(joiner).join(self._proc(target).clock)

@@ -30,6 +30,8 @@ from typing import TYPE_CHECKING, Any
 from repro.sanitize.hb import HBMonitor
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
+
     from repro.nvshmem.heap import SymmetricArray
     from repro.runtime.context import MultiGPUContext
     from repro.sim import Simulator
@@ -48,7 +50,7 @@ class Access:
     def __init__(self, seq: int, array: str, owner_pe: int, by_pe: int,
                  lo: int, hi: int, kind: str, site: str, label: str,
                  origin: str, time_us: float, tid: int,
-                 clock: dict[int, int]) -> None:
+                 clock: "np.ndarray") -> None:
         self.seq = seq
         self.array = array
         self.owner_pe = owner_pe
@@ -98,7 +100,8 @@ class Sanitizer:
 
     def record(self, array: str, owner_pe: int, lo: int, hi: int,
                kind: str, *, site: str, by_pe: int, label: str = "") -> None:
-        """Record one access with the current process's clock snapshot."""
+        """Record one access, stamped with the current process's clock
+        (shared, not copied: clocks are immutable values)."""
         if array not in self._tracked or lo >= hi:
             return
         proc = self.sim.current
@@ -115,7 +118,7 @@ class Sanitizer:
             origin=getattr(proc, "name", None) or "main",
             time_us=self.sim.now,
             tid=self.monitor.tid_of(proc),
-            clock=dict(self.monitor.clock_of(proc)),
+            clock=self.monitor.clock_of(proc),
         ))
 
     def record_symmetric(self, array: "SymmetricArray", owner_pe: int,

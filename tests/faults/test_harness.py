@@ -4,7 +4,10 @@ jobs-count independence, and zero-fault inertness."""
 import json
 
 import numpy as np
+import pytest
 
+from repro.cliutil import cli_entry
+from repro.faults.__main__ import main
 from repro.faults.harness import (
     DEFAULT_MATRIX_PROFILES,
     render_report,
@@ -91,3 +94,18 @@ class TestZeroFaultInertness:
         assert none_time == base_time
         assert none_metrics == base_metrics
         assert none_trace == base_trace
+
+
+class TestCli:
+    @pytest.mark.parametrize("argv", [
+        ["--gpus", "3", "--shape", "10x10"],  # too few rows per rank
+        ["--iterations", "0"],
+    ])
+    def test_invalid_configuration_is_a_cli_error(self, capsys, argv):
+        """Bad input exits 2 with one line before any cell runs, never
+        1 (a misbehaving cell)."""
+        assert cli_entry(main, argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: invalid run configuration: ")
+        assert captured.err.count("\n") == 1

@@ -49,6 +49,7 @@ class TestRunCommands:
     @pytest.mark.parametrize("argv", [
         ["--gpus", "16", "--domain-gpus", "3"],  # not whole domains
         ["--gpus", "3", "--shape", "10x10"],  # too few rows per rank
+        ["--iterations", "0"],
     ])
     def test_invalid_configuration_is_a_cli_error(self, capsys, argv):
         """Bad input exits 2 with one line, never 1 (a finding)."""

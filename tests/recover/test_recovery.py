@@ -230,3 +230,16 @@ class TestCli:
 
         with pytest.raises(CliError, match="available"):
             main(["--profile", "bogus"])
+
+    @pytest.mark.parametrize("argv", [
+        ["--gpus", "3", "--shape", "10x10"],  # too few rows per rank
+        ["--iterations", "0"],
+    ])
+    def test_cli_invalid_configuration_is_cli_error(self, capsys, argv):
+        from repro.cliutil import cli_entry
+        from repro.recover.__main__ import main
+
+        assert cli_entry(main, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid run configuration: ")
+        assert err.count("\n") == 1

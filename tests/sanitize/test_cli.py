@@ -51,6 +51,21 @@ def test_run_unknown_variant_rejected(capsys):
     assert capsys.readouterr().err.startswith("error: unknown variant")
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--gpus", "3", "--shape", "10x10"],  # too few rows per rank
+    ["sweep", "--gpus", "0"],
+    ["run", "--iterations", "0"],
+])
+def test_invalid_configuration_exits_two_not_one(capsys, argv):
+    """Exit 1 means "race found": bad input must exit 2, with one line
+    and before any variant of a sweep runs."""
+    assert cli_entry(main, argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: invalid run configuration: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_run_report_bytes_stable_across_reruns(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

@@ -145,6 +145,30 @@ def test_repeated_site_pair_deduplicated_with_count(setup):
     assert all(f.first.seq < f.second.seq for f in findings)
 
 
+def test_dedup_keeps_first_pair_of_the_pairwise_loop(setup):
+    # the kept pair of a site pair is the first one the loop
+    # "for b: for a before b" meets: smallest b, then smallest a
+    sim, san = setup
+
+    def writer():
+        yield Delay(1.0)
+        san.record("A", 0, 0, 4, "write", site="w", by_pe=0)   # seq 0
+        san.record("A", 0, 4, 8, "write", site="w", by_pe=0)   # seq 1
+
+    def reader():
+        yield Delay(2.0)
+        san.record("A", 0, 4, 8, "read", site="r", by_pe=1)    # seq 2: races 1
+        san.record("A", 0, 0, 8, "read", site="r", by_pe=1)    # seq 3: races 0, 1
+
+    sim.spawn(writer(), name="w")
+    sim.spawn(reader(), name="r")
+    sim.run()
+    [finding] = detect_races(san)
+    assert (finding.first.seq, finding.second.seq) == (1, 2)
+    assert finding.offsets == (4, 8)
+    assert finding.count == 3
+
+
 def test_finding_id_and_describe(setup):
     sim, san = setup
 

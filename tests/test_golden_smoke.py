@@ -11,7 +11,10 @@ dumps, regenerate per tests/golden/README.md and review the diff.
 import json
 import pathlib
 
+import pytest
+
 from repro.obs.__main__ import main
+from repro.sanitize.__main__ import main as sanitize_main
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.stencil import StencilConfig, run_variant
 
@@ -50,3 +53,24 @@ def test_two_domain_run_matches_committed_golden():
     """Hierarchical runs dispatch in exactly the pinned event order."""
     golden = (GOLDEN / "two_domain_cpufree.json").read_text()
     assert two_domain_dump() == golden
+
+
+SANITIZE_GOLDENS = {
+    # every shipped variant clean, every seeded bug flagged
+    "sanitize_sweep.json": (
+        ["sweep", "--gpus", "2", "--shape", "34x66", "--iterations", "4"], 0),
+    # seeded races under transient retries: findings, counts, offsets
+    "sanitize_racy_transient.json": (
+        ["run", "--variant", "racy_unsignaled", "--gpus", "4",
+         "--shape", "34x66", "--iterations", "5",
+         "--fault-profile", "transient"], 1),
+}
+
+
+@pytest.mark.parametrize("golden", sorted(SANITIZE_GOLDENS))
+def test_sanitizer_report_matches_committed_golden(golden, tmp_path, capsys):
+    """The race detector reports exactly the pinned findings."""
+    argv, expected_rc = SANITIZE_GOLDENS[golden]
+    report = tmp_path / golden
+    assert sanitize_main([*argv, "--report-out", str(report)]) == expected_rc
+    assert report.read_bytes() == (GOLDEN / golden).read_bytes()
