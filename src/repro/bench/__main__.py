@@ -37,7 +37,7 @@ from repro.bench.figures import (
     fig_multinode_weak,
 )
 from repro.bench.report import history_fields, render_figure
-from repro.cliutil import cli_entry
+from repro.cliutil import cli_entry, output_path, positive_int
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.perf import ResultCache, SweepManifest, SweepRunner, use_runner
 from repro.perf.cache import DEFAULT_CACHE_DIR
@@ -119,7 +119,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("figures", nargs="*", default=[],
                         help=f"figure ids to run (default: all of {sorted(FIGURES)})")
-    parser.add_argument("--out", type=str, default=None,
+    parser.add_argument("--out", type=output_path, default=None,
                         help="also write the report to this file")
     parser.add_argument("--list-figures", action="store_true",
                         help="list every figure id (including opt-in extras) "
@@ -127,21 +127,21 @@ def main(argv: list[str] | None = None) -> int:
                              "without running anything")
     parser.add_argument("--paper", action="store_true",
                         help="evaluate every paper claim and print the verdict table")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", "-j", type=positive_int, default=1, metavar="N",
                         help="worker processes for sweep points (default: 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result cache")
     parser.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR,
                         help=f"result cache directory (default: {DEFAULT_CACHE_DIR})")
     parser.add_argument("--profile", nargs="?", const="repro-bench.prof",
-                        default=None, metavar="PATH",
+                        type=output_path, default=None, metavar="PATH",
                         help="cProfile the run and dump stats to PATH "
                              "(default: repro-bench.prof); forces --jobs 1")
-    parser.add_argument("--profile-out", type=str, default=None, metavar="PATH",
+    parser.add_argument("--profile-out", type=output_path, default=None, metavar="PATH",
                         help="write per-point cProfile stats (sorted by "
                              "cumulative time) to PATH, one section per "
                              "computed sweep point; forces --jobs 1")
-    parser.add_argument("--save-manifest", type=str, default=None, metavar="PATH",
+    parser.add_argument("--save-manifest", type=output_path, default=None, metavar="PATH",
                         help="record every sweep point's cache key to PATH "
                              "(a replay baseline for --changed-only); "
                              "requires the cache")
@@ -150,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                              "manifest at PATH: unchanged points replay from "
                              "the cache, only changed/new points recompute "
                              "(a summary prints to stdout); requires the cache")
-    parser.add_argument("--resume", type=str, default=None, metavar="PATH",
+    parser.add_argument("--resume", type=output_path, default=None, metavar="PATH",
                         help="journal completed sweep points to PATH as they "
                              "finish and, when PATH already exists, replay the "
                              "journaled points from the cache — a sweep killed "
@@ -168,7 +168,7 @@ def main(argv: list[str] | None = None) -> int:
                              "entries whose key changed or whose point "
                              "disappeared (a summary prints to stdout); "
                              "requires the cache")
-    parser.add_argument("--metrics-out", type=str, default=None, metavar="PATH",
+    parser.add_argument("--metrics-out", type=output_path, default=None, metavar="PATH",
                         help="collect observability metrics across the run and "
                              "write the registry dump (JSON) to PATH; the dump "
                              "is byte-identical at any --jobs setting")
@@ -183,7 +183,7 @@ def main(argv: list[str] | None = None) -> int:
                              "(e.g. transient or transient@7); the profile is "
                              "recorded in the metrics dump and in the report "
                              "header")
-    parser.add_argument("--history", type=str, default=None, metavar="PATH",
+    parser.add_argument("--history", type=output_path, default=None, metavar="PATH",
                         help="append one perf-history record per sweep point "
                              "to this JSONL file (read back by "
                              "`python -m repro.obs regress`); needs "
@@ -195,7 +195,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="narrate sweep progress on stderr with a running "
                              "counter and, when --history has prior runs, an "
                              "ETA from per-point median wall times")
-    parser.add_argument("--progress-out", type=str, default=None, metavar="PATH",
+    parser.add_argument("--progress-out", type=output_path, default=None, metavar="PATH",
                         help="stream machine-readable progress events (one "
                              "JSON object per line) to PATH")
     args = parser.parse_args(argv)

@@ -1,16 +1,19 @@
 """Shared conventions for the ``python -m repro.*`` command-line tools.
 
-All four CLIs (:mod:`repro.obs`, :mod:`repro.bench`, :mod:`repro.faults`,
-:mod:`repro.sanitize`) report user-facing invocation failures the same
-way argparse does: one ``error: <message>`` line on stderr and exit
-status 2.  Code under a CLI's ``main`` raises :class:`CliError`; the
-module entry point wraps ``main`` in :func:`cli_entry`, which renders
-the error.  Exit status 1 stays reserved for "the tool ran and the
+The six CLIs (:mod:`repro.obs`, :mod:`repro.bench`, :mod:`repro.faults`,
+:mod:`repro.sanitize`, :mod:`repro.recover`, :mod:`repro.tune`) report
+user-facing invocation failures the same way argparse does: one
+``error: <message>`` line on stderr and exit status 2.  Code under a
+CLI's ``main`` raises :class:`CliError`; the module entry point wraps
+``main`` in :func:`cli_entry`, which renders the error.  Exit status 1 stays reserved for "the tool ran and the
 verdict is bad" (regressions, races, violated expectations), so scripts
 can distinguish a bad verdict from a bad invocation.
 
 :func:`parse_shape` is the shared ``argparse`` type for ``WxH[xD]``
 domain shapes, previously copy-pasted into three CLIs.
+:func:`output_path` and :func:`positive_int` are the shared types for
+files a tool writes and for counts like ``--jobs``: a bad value is a
+parse-time usage error, before any figure, matrix or trial runs.
 :func:`run_configuration` turns a bad shape/GPU/domain/iteration
 combination into such an error, and :func:`stencil_config` uses it to
 check a stencil run's configuration before any run starts.
@@ -19,6 +22,7 @@ check a stencil run's configuration before any run starts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -26,8 +30,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterator
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.stencil.base import StencilConfig
 
-__all__ = ["CliError", "cli_entry", "parse_shape", "run_configuration",
-           "stencil_config"]
+__all__ = ["CliError", "cli_entry", "output_path", "parse_shape",
+           "positive_int", "run_configuration", "stencil_config"]
 
 
 class CliError(Exception):
@@ -60,6 +64,29 @@ def parse_shape(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"bad shape {text!r}: dims must be positive")
     return shape
+
+
+def output_path(text: str) -> str:
+    """``argparse`` type for a file the tool writes: its directory must
+    exist and the path must not be a directory."""
+    directory = os.path.dirname(text) or "."
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text!r}: directory {directory!r} does not exist")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"cannot write {text!r}: it is a directory")
+    return text
+
+
+def positive_int(text: str) -> int:
+    """``argparse`` type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
 @contextmanager

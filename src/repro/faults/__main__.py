@@ -23,7 +23,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from repro.cliutil import CliError, cli_entry, parse_shape, stencil_config
+from repro.cliutil import (CliError, cli_entry, output_path, parse_shape,
+                           positive_int, stencil_config)
 from repro.faults.harness import DEFAULT_MATRIX_PROFILES, render_report, run_matrix
 from repro.obs.metrics import MetricsRegistry, use_metrics
 
@@ -53,11 +54,11 @@ def main(argv: list[str] | None = None) -> int:
                         help="global domain shape (default: 34x66)")
     parser.add_argument("--iterations", type=int, default=6,
                         help="stencil iterations per cell (default: 6)")
-    parser.add_argument("--jobs", type=int, default=1,
+    parser.add_argument("--jobs", type=positive_int, default=1,
                         help="worker processes for the matrix (default: 1)")
-    parser.add_argument("--report-out", metavar="PATH",
+    parser.add_argument("--report-out", type=output_path, metavar="PATH",
                         help="write the byte-stable JSON report to PATH")
-    parser.add_argument("--metrics-out", metavar="PATH",
+    parser.add_argument("--metrics-out", type=output_path, metavar="PATH",
                         help="write the merged metrics dump (JSON) to PATH")
     args = parser.parse_args(argv)
 

@@ -14,6 +14,7 @@ staged baseline copies.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -98,20 +99,43 @@ class MemoryManager:
     ) -> DeviceBuffer:
         """Allocate a buffer on ``device``; zero-filled by default."""
         self._check_device(device)
-        if fill is None:
-            data = np.empty(shape, dtype=dtype)
-        else:
-            data = np.full(shape, fill, dtype=dtype)
-        if self.capacity_bytes is not None:
-            if self._used[device] + data.nbytes > self.capacity_bytes:
-                raise MemoryError(
-                    f"device {device}: allocation of {data.nbytes} bytes exceeds "
-                    f"capacity ({self._used[device]}/{self.capacity_bytes} used)"
-                )
-        buf = DeviceBuffer(device=device, name=name, data=data, storage=storage)
-        self._used[device] += data.nbytes
+        self._check_capacity(device, _nbytes(shape, dtype))
+        buf = DeviceBuffer(device=device, name=name,
+                           data=_new_array(shape, dtype, fill), storage=storage)
+        self._used[device] += buf.nbytes
         self._buffers.append(buf)
         return buf
+
+    def alloc_block(
+        self,
+        n_devices: int,
+        name: str,
+        shape: tuple[int, ...] | int,
+        dtype: np.dtype | type = np.float64,
+        storage: Storage = Storage.GLOBAL,
+        fill: float | None = 0.0,
+    ) -> tuple[np.ndarray, list[DeviceBuffer]]:
+        """Allocate ``shape`` on each of devices ``0 .. n_devices-1`` as
+        one contiguous ``(n_devices, *shape)`` block.
+
+        Device ``d``'s buffer holds the view ``block[d]``; capacity and
+        accounting are per device, exactly as for :meth:`alloc`.
+        Returns ``(block, buffers)``.
+        """
+        if not 0 < n_devices <= self.num_gpus:
+            raise ValueError(
+                f"n_devices {n_devices} out of range (num_gpus={self.num_gpus})")
+        shape = _as_shape(shape)
+        nbytes = _nbytes(shape, dtype)
+        for device in range(n_devices):
+            self._check_capacity(device, nbytes)
+        block = _new_array((n_devices, *shape), dtype, fill)
+        buffers = [DeviceBuffer(device=device, name=name, data=block[device, ...],
+                                storage=storage) for device in range(n_devices)]
+        for device in range(n_devices):
+            self._used[device] += nbytes
+        self._buffers.extend(buffers)
+        return block, buffers
 
     def free(self, buf: DeviceBuffer) -> None:
         """Release a buffer (double-free raises)."""
@@ -157,6 +181,33 @@ class MemoryManager:
                 f"buffer {buf.name!r} (storage={buf.storage.value})"
             )
 
+    def _check_capacity(self, device: int, nbytes: int) -> None:
+        if self.capacity_bytes is not None:
+            if self._used[device] + nbytes > self.capacity_bytes:
+                raise MemoryError(
+                    f"device {device}: allocation of {nbytes} bytes exceeds "
+                    f"capacity ({self._used[device]}/{self.capacity_bytes} used)"
+                )
+
     def _check_device(self, device: int) -> None:
         if not 0 <= device < self.num_gpus:
             raise ValueError(f"device {device} out of range (num_gpus={self.num_gpus})")
+
+
+def _as_shape(shape: tuple[int, ...] | int) -> tuple[int, ...]:
+    return (int(shape),) if np.ndim(shape) == 0 else tuple(int(n) for n in shape)
+
+
+def _nbytes(shape: tuple[int, ...] | int, dtype: np.dtype | type) -> int:
+    return math.prod(_as_shape(shape)) * np.dtype(dtype).itemsize
+
+
+def _new_array(shape: tuple[int, ...] | int, dtype: np.dtype | type,
+               fill: float | None) -> np.ndarray:
+    """``fill=None`` leaves the memory uninitialised; a zero fill comes
+    from ``np.zeros`` (the OS hands out zeroed pages lazily)."""
+    if fill is None:
+        return np.empty(shape, dtype=dtype)
+    if fill == 0 and not np.signbit(fill):  # -0.0 keeps its sign via np.full
+        return np.zeros(shape, dtype=dtype)
+    return np.full(shape, fill, dtype=dtype)

@@ -2,11 +2,14 @@
 
 ``nvshmem_malloc`` is collective: the same size is allocated on every
 PE and the returned "pointer" is symmetric — indexing it with a PE id
-names that PE's copy.  We model a symmetric allocation as a
-:class:`SymmetricArray`: one :class:`~repro.hw.memory.DeviceBuffer`
-per PE, all with :attr:`~repro.hw.memory.Storage.SYMMETRIC` storage
-(remotely accessible without explicit peer enablement — the PGAS
-contract).
+names that PE's copy.  Like NVSHMEM's heap, which reserves every
+allocation at the same offset in each PE's region, we model a symmetric
+allocation as a :class:`SymmetricArray` backed by one contiguous
+``(n_pes, *shape)`` NumPy block.  PE ``p``'s copy is the view
+``block[p]``, held by a :class:`~repro.hw.memory.DeviceBuffer` with
+:attr:`~repro.hw.memory.Storage.SYMMETRIC` storage (remotely accessible
+without explicit peer enablement — the PGAS contract) and accounted on
+device ``p`` like any other allocation.
 
 Signals (the flag words of ``nvshmemx_putmem_signal`` and
 ``nvshmem_signal_wait_until``) are allocated separately as
@@ -58,15 +61,20 @@ def element_range(shape: tuple[int, ...], index: Any) -> tuple[int, int]:
 
 
 class SymmetricArray:
-    """A collective allocation: one same-shaped buffer per PE."""
+    """A collective allocation: one same-shaped buffer per PE, all views
+    of a single ``(n_pes, *shape)`` block."""
 
-    def __init__(self, name: str, buffers: list[DeviceBuffer]) -> None:
+    def __init__(self, name: str, block: np.ndarray,
+                 buffers: list[DeviceBuffer]) -> None:
         if not buffers:
             raise ValueError("symmetric array needs at least one PE")
-        shapes = {b.shape for b in buffers}
-        if len(shapes) != 1:
-            raise ValueError(f"asymmetric shapes across PEs: {shapes}")
+        if len(buffers) != block.shape[0]:
+            raise ValueError(f"{len(buffers)} buffers for a block of "
+                             f"{block.shape[0]} PEs")
         self.name = name
+        #: the whole allocation, PE axis first: ``block[pe]`` is
+        #: ``local(pe)`` (for whole-allocation reads, writes and copies)
+        self.block = block
         self._buffers = buffers
 
     @property
@@ -75,11 +83,11 @@ class SymmetricArray:
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self._buffers[0].shape
+        return self.block.shape[1:]
 
     @property
     def dtype(self) -> np.dtype:
-        return self._buffers[0].dtype
+        return self.block.dtype
 
     def on(self, pe: int) -> DeviceBuffer:
         """This allocation's buffer on PE ``pe``."""
@@ -144,14 +152,14 @@ class SymmetricHeap:
         dtype: np.dtype | type = np.float64,
         fill: float | None = 0.0,
     ) -> SymmetricArray:
-        """``nvshmem_malloc``: collective same-size allocation on all PEs."""
+        """``nvshmem_malloc``: collective same-size allocation on all PEs,
+        as one block (zeroed by default; ``fill=None`` leaves it
+        uninitialised)."""
         if name in self._arrays:
             raise ValueError(f"symmetric array {name!r} already allocated")
-        buffers = [
-            self.memory.alloc(pe, f"sym:{name}", shape, dtype, Storage.SYMMETRIC, fill)
-            for pe in range(self.n_pes)
-        ]
-        arr = SymmetricArray(name, buffers)
+        block, buffers = self.memory.alloc_block(
+            self.n_pes, f"sym:{name}", shape, dtype, Storage.SYMMETRIC, fill)
+        arr = SymmetricArray(name, block, buffers)
         self._arrays[name] = arr
         return arr
 
@@ -185,10 +193,10 @@ class SymmetricHeap:
         per-PE buffer plus every signal word's value, tagged with a
         checkpoint ``epoch``.  Deterministic: allocations iterate in
         sorted-name order, PEs in rank order."""
-        arrays = {
-            name: tuple(arr.local(pe).copy() for pe in range(arr.n_pes))
-            for name, arr in sorted(self._arrays.items())
-        }
+        arrays = {}
+        for name, arr in sorted(self._arrays.items()):
+            copy = arr.block.copy()
+            arrays[name] = tuple(copy[pe, ...] for pe in range(arr.n_pes))
         signals = {
             name: tuple(
                 tuple(sig.value(pe, i) for i in range(sig.n_signals))

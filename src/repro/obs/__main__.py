@@ -43,7 +43,8 @@ import argparse
 import json
 import sys
 
-from repro.cliutil import CliError, cli_entry, parse_shape, run_configuration
+from repro.cliutil import (CliError, cli_entry, output_path, parse_shape,
+                           run_configuration)
 from repro.obs.critical import critical_path
 from repro.obs.diff import diff_metrics, load_metrics
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -69,9 +70,9 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-compute", action="store_true",
                      help="communication/synchronization only (paper's "
                           "no-compute mode)")
-    sub.add_argument("--metrics-out", metavar="PATH",
+    sub.add_argument("--metrics-out", type=output_path, metavar="PATH",
                      help="write the metrics registry dump (JSON) to PATH")
-    sub.add_argument("--trace-out", metavar="PATH",
+    sub.add_argument("--trace-out", type=output_path, metavar="PATH",
                      help="write the Chrome-trace JSON to PATH")
     sub.add_argument("--top", type=int, default=5,
                      help="rows in top-k listings (default: 5)")
@@ -274,7 +275,7 @@ def main(argv: list[str] | None = None) -> int:
         sub = subparsers.add_parser(command)
         _add_run_options(sub)
         if command == "timeline":
-            sub.add_argument("--timeline-out", metavar="PATH",
+            sub.add_argument("--timeline-out", type=output_path, metavar="PATH",
                              help="write the byte-stable timeline JSON to PATH")
             sub.add_argument("--width", type=int, default=80,
                              help="gantt width in cells (default: 80)")
@@ -285,7 +286,7 @@ def main(argv: list[str] | None = None) -> int:
                                   "comm/host (or a wire.peS->peD link "
                                   "pattern) durations by FACTOR (repeatable; "
                                   "default: each resource 2x faster in turn)")
-            sub.add_argument("--json-out", metavar="PATH",
+            sub.add_argument("--json-out", type=output_path, metavar="PATH",
                              help="write the byte-stable what-if JSON to PATH")
     regress_p = subparsers.add_parser("regress")
     regress_p.add_argument("history", help="perf-history JSONL file "

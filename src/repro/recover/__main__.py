@@ -24,7 +24,7 @@ import sys
 
 import numpy as np
 
-from repro.cliutil import CliError, cli_entry, parse_shape, stencil_config
+from repro.cliutil import CliError, cli_entry, output_path, parse_shape, stencil_config
 from repro.faults.profiles import get_plan
 from repro.obs.stablejson import dumps_stable
 from repro.recover.runner import UnrecoverableCrashError, run_with_recovery
@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
                         metavar="N",
                         help="checkpoint cadence in iterations "
                              "(default: the profile's cadence)")
-    parser.add_argument("--report-out", metavar="PATH",
+    parser.add_argument("--report-out", type=output_path, metavar="PATH",
                         help="write the JSON recovery report to PATH")
     args = parser.parse_args(argv)
 

@@ -33,7 +33,8 @@ import json
 import sys
 from typing import TYPE_CHECKING, Any
 
-from repro.cliutil import CliError, cli_entry, parse_shape, run_configuration, stencil_config
+from repro.cliutil import (CliError, cli_entry, output_path, parse_shape,
+                           run_configuration, stencil_config)
 from repro.sanitize.detect import detect_races
 from repro.sanitize.recorder import attach_sanitizer
 from repro.sanitize.report import apply_suppressions, dumps_report, render_findings
@@ -55,7 +56,7 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--suppress", action="append", default=[], metavar="PATTERN",
                      help="fnmatch pattern over finding ids to suppress "
                           "(repeatable)")
-    sub.add_argument("--report-out", metavar="PATH",
+    sub.add_argument("--report-out", type=output_path, metavar="PATH",
                      help="write the byte-stable JSON report to PATH")
 
 
@@ -272,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--variant", default="cpufree",
                      help="shipped or seeded variant (default: cpufree)")
     _add_run_options(run)
-    run.add_argument("--trace-out", metavar="PATH",
+    run.add_argument("--trace-out", type=output_path, metavar="PATH",
                      help="write a Chrome trace with race instants to PATH")
 
     sweep = subparsers.add_parser(
@@ -283,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     lint.add_argument("--demo-bad", action="store_true",
                       help="also lint deliberately broken SDFGs (must be flagged)")
     lint.add_argument("--suppress", action="append", default=[], metavar="PATTERN")
-    lint.add_argument("--report-out", metavar="PATH")
+    lint.add_argument("--report-out", type=output_path, metavar="PATH")
 
     args = parser.parse_args(argv)
     if args.command == "run":

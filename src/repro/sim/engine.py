@@ -89,6 +89,7 @@ nothing — a timed-out waiter observed no release.
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import deque
 from collections.abc import Callable, Generator
@@ -945,6 +946,18 @@ class Simulator:
         Returns the final simulated time.  Raises :class:`DeadlockError`
         if live processes remain blocked with no pending events, and
         re-raises the first exception of any failed process.
+
+        The cyclic garbage collector is paused for the dispatch loop and
+        re-enabled on every exit if it was enabled on entry.  The loop
+        allocates millions of short-lived event tuples and generator
+        frames, so the collector would otherwise keep rescanning the
+        live process table: the loop of a 1024-PE, 2-iteration run
+        triggered ~290 passes costing 0.09-0.20 s.  Those objects die
+        by reference counting, so the pause does not hold memory: a
+        sanitized 100-iteration 8-GPU 66×130 ``baseline_nvshmem`` run
+        peaks at 180.5 MB with the pause and 180.6 MB without it (2-core
+        Xeon, Python 3.11).  Cycles made during the run are left to the
+        collector's next pass after it returns.
         """
         times, buckets, ready = self._times, self._buckets, self._ready
         # Counters accumulate in locals (written back in the finally —
@@ -958,6 +971,8 @@ class Simulator:
         now_p = self.now
         if now_p.__class__ is not float and isinstance(now_p, Stacked):
             now_p = now_p.v[0]
+        gc_was_enabled = gc.isenabled()
+        gc.disable()
         try:
             while times or ready:
                 # Merge the ready queue and the calendar by (time, seq).
@@ -1072,6 +1087,8 @@ class Simulator:
                 else:
                     self._dispatch(proc, command)
         finally:
+            if gc_was_enabled:
+                gc.enable()
             self.n_heap_pops += n_heap
             self.n_ready_pops += n_ready
             self.n_callbacks += n_call

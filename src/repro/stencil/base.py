@@ -33,7 +33,7 @@ from repro.runtime.kernel import DeviceKernelContext
 from repro.runtime.mpi import HostBarrier
 from repro.sim import Tracer
 from repro.sim.stacked import Stacked, stacked_val
-from repro.stencil.grid import SlabDecomposition, gather_slabs, scatter_slabs
+from repro.stencil.grid import SlabDecomposition, gather_slabs
 from repro.stencil.reference import update_layers
 
 __all__ = [
@@ -214,17 +214,18 @@ class StencilVariant(abc.ABC):
     # -- buffer setup -----------------------------------------------------------
 
     def setup_regular_buffers(self) -> None:
-        """cudaMalloc-style double buffers on each device."""
+        """cudaMalloc-style double buffers on each device, each filled
+        with the rank's slab of the initial field (halos included)."""
         if not self.config.with_data:
             return
-        locals_ = scatter_slabs(self.initial, self.decomp)
         self.devbufs = []
         self.arrays = []
-        for rank in range(self.config.num_gpus):
-            b0 = self.ctx.alloc(rank, "u0", locals_[rank].shape, fill=None)
-            b1 = self.ctx.alloc(rank, "u1", locals_[rank].shape, fill=None)
-            b0.data[...] = locals_[rank]
-            b1.data[...] = locals_[rank]
+        for rank, (lo, hi) in enumerate(self.decomp.ranges):
+            slab = self.initial[lo - 1:hi + 1]
+            b0 = self.ctx.alloc(rank, "u0", slab.shape, fill=None)
+            b1 = self.ctx.alloc(rank, "u1", slab.shape, fill=None)
+            b0.data[...] = slab
+            b1.data[...] = slab
             self.devbufs.append([b0, b1])
             self.arrays.append([b0.data, b1.data])
 
@@ -233,23 +234,27 @@ class StencilVariant(abc.ABC):
 
         The slabs may have unequal row counts; symmetric allocation is
         same-shaped on every PE, so we allocate the maximum local shape
-        (real NVSHMEM codes do exactly this padding).
+        (real NVSHMEM codes do exactly this padding).  Each rank's slab
+        goes straight from the initial field into its row of the ``u0``
+        block; padding rows stay zero, and ``u1`` starts as a copy of
+        the whole ``u0`` block.
         """
         assert self.nvshmem is not None
         if not self.config.with_data:
             return
-        locals_ = scatter_slabs(self.initial, self.decomp)
-        max_rows = max(arr.shape[0] for arr in locals_)
+        ranges = self.decomp.ranges
+        max_rows = max(hi - lo for lo, hi in ranges) + 2
         shape = (max_rows, *self.config.global_shape[1:])
         u0 = self.nvshmem.malloc("u0", shape, fill=0.0)
-        u1 = self.nvshmem.malloc("u1", shape, fill=0.0)
+        u1 = self.nvshmem.malloc("u1", shape, fill=None)
+        for rank, (lo, hi) in enumerate(ranges):
+            u0.block[rank, :hi - lo + 2] = self.initial[lo - 1:hi + 1]
+        u1.block[...] = u0.block
         self.sym = [u0, u1]
-        self.arrays = []
-        for rank in range(self.config.num_gpus):
-            rows = locals_[rank].shape[0]
-            u0.local(rank)[:rows] = locals_[rank]
-            u1.local(rank)[:rows] = locals_[rank]
-            self.arrays.append([u0.local(rank)[:rows], u1.local(rank)[:rows]])
+        self.arrays = [
+            [u0.local(rank)[:hi - lo + 2], u1.local(rank)[:hi - lo + 2]]
+            for rank, (lo, hi) in enumerate(ranges)
+        ]
 
     # -- indices and parities ------------------------------------------------------
 

@@ -23,7 +23,7 @@ import json
 import sys
 
 from repro.bench.figures import DEFAULT_GPU_COUNTS, SIZE_CLASSES_2D
-from repro.cliutil import cli_entry
+from repro.cliutil import cli_entry, output_path, positive_int
 from repro.obs.stablejson import dump_stable
 from repro.perf import ResultCache, SweepManifest, SweepRunner
 from repro.perf.cache import DEFAULT_CACHE_DIR
@@ -43,25 +43,25 @@ def main(argv: list[str] | None = None) -> int:
                         help="GPU count / topology scale (default: 8)")
     parser.add_argument("--iterations", type=int, default=20,
                         help="time steps per trial (default: 20)")
-    parser.add_argument("--budget", type=int, default=None, metavar="N",
+    parser.add_argument("--budget", type=positive_int, default=None, metavar="N",
                         help="measure at most N candidates from the "
                              "priority-ordered grid (default: all)")
-    parser.add_argument("--out", type=str, default=None, metavar="PATH",
+    parser.add_argument("--out", type=output_path, default=None, metavar="PATH",
                         help="write the byte-stable best-schedule JSON here")
-    parser.add_argument("--winloss-out", type=str, default=None, metavar="PATH",
+    parser.add_argument("--winloss-out", type=output_path, default=None, metavar="PATH",
                         help="also sweep auto_overlap vs cpufree across the "
                              "figure suite's (size x gpus) points and write "
                              "the win/loss table here (BENCH_PR10.json)")
     parser.add_argument("--winloss-iterations", type=int, default=40,
                         help="time steps per win/loss point (default: 40, "
                              "matching the figure suite)")
-    parser.add_argument("--jobs", "-j", type=int, default=1, metavar="N",
+    parser.add_argument("--jobs", "-j", type=positive_int, default=1, metavar="N",
                         help="worker processes for trial points (default: 1)")
     parser.add_argument("--no-cache", action="store_true",
                         help="do not read or write the on-disk result cache")
     parser.add_argument("--cache-dir", type=str, default=DEFAULT_CACHE_DIR,
                         help=f"result cache directory (default: {DEFAULT_CACHE_DIR})")
-    parser.add_argument("--save-manifest", type=str, default=None, metavar="PATH",
+    parser.add_argument("--save-manifest", type=output_path, default=None, metavar="PATH",
                         help="record every trial's cache key to PATH (the "
                              "replay baseline for --changed-only); requires "
                              "the cache")

@@ -114,6 +114,21 @@ class TestCLI:
         assert main(["2.2", "--out", str(out_file)]) == 0
         assert "Figure 2.2a" in out_file.read_text()
 
+    @pytest.mark.parametrize("argv", [
+        ["--no-cache", "--out", "/nonexistent/d/r.md", "6.3a"],
+        ["--no-cache", "--jobs", "0", "2.2"],
+    ])
+    def test_bad_output_path_or_jobs_is_a_usage_error(self, capsys, argv):
+        """Rejected at parse time with exit 2, before any figure runs."""
+        from repro.bench.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+
 
 class TestAutoOverlapFigure:
     def test_win_loss_headlines(self):

@@ -109,3 +109,17 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("error: invalid run configuration: ")
         assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["--report-out", "/nonexistent/d/x.json"],
+        ["--metrics-out", "/nonexistent/d/m.json"],
+        ["--jobs", "0"],
+    ])
+    def test_bad_output_path_or_jobs_is_a_usage_error(self, capsys, argv):
+        """Rejected at parse time with exit 2, before the matrix runs."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1

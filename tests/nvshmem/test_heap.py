@@ -58,6 +58,114 @@ class TestSymmetricArray:
         assert rt.heap.get("named") is arr
 
 
+class TestBlockLayout:
+    """Every allocation is one ``(n_pes, *shape)`` block; each PE's
+    buffer is its row, accounted on its own device."""
+
+    def test_each_pe_buffer_is_a_view_of_the_block(self, rt):
+        arr = rt.malloc("grid", (3, 5))
+        assert arr.block.shape == (4, 3, 5)
+        assert arr.block.flags.c_contiguous
+        for pe in range(4):
+            assert arr.on(pe).data.base is arr.block
+            arr.block[pe] = pe + 1.0
+            assert np.all(arr.local(pe) == pe + 1.0)
+        arr.local(2)[1, 1] = -7.0
+        assert arr.block[2, 1, 1] == -7.0
+
+    @pytest.mark.parametrize("fill", [0.0, 1.5])
+    def test_fill_is_honoured(self, rt, fill):
+        arr = rt.malloc("grid", (2, 3), fill=fill)
+        assert np.all(arr.block == fill)
+        assert not np.signbit(arr.block).any()
+
+    def test_fill_none_allocates_uninitialised(self, rt):
+        arr = rt.malloc("grid", (2, 3), dtype=np.float32, fill=None)
+        assert arr.block.shape == (4, 2, 3)
+        assert arr.dtype == np.float32
+        assert arr.shape == (2, 3)
+
+    def test_int_shape(self, rt):
+        arr = rt.malloc("vec", 5, fill=2.0)
+        assert arr.shape == (5,)
+        assert arr.block.shape == (4, 5)
+        assert arr.local(3).shape == (5,)
+        assert np.all(arr.local(3) == 2.0)
+
+    def test_accounting_is_per_pe(self, rt):
+        memory = rt.ctx.memory
+        before = [memory.used_bytes(pe) for pe in range(4)]
+        arr = rt.malloc("grid", (10,))
+        for pe in range(4):
+            assert memory.used_bytes(pe) == before[pe] + 80
+            names = [b.name for b in memory.buffers_on(pe)]
+            assert names.count("sym:grid") == 1
+            assert arr.on(pe) in list(memory.buffers_on(pe))
+        rt.heap.free(arr)
+        assert [memory.used_bytes(pe) for pe in range(4)] == before
+        assert all("sym:grid" not in [b.name for b in memory.buffers_on(pe)]
+                   for pe in range(4))
+
+    def test_capacity_checked_before_the_block_is_allocated(self):
+        from repro.hw.memory import MemoryManager
+        from repro.nvshmem.heap import SymmetricHeap
+        from repro.sim import Simulator
+
+        memory = MemoryManager(num_gpus=2, capacity_bytes=64)
+        heap = SymmetricHeap(memory, Simulator(), 2)
+        heap.malloc("fits", (8,))
+        with pytest.raises(MemoryError):
+            heap.malloc("overflows", (1,))
+        assert [memory.used_bytes(pe) for pe in range(2)] == [64, 64]
+        with pytest.raises(KeyError):
+            heap.get("overflows")
+
+    def test_stencil_setup_fills_slabs_and_zeroes_padding(self):
+        """18 interior rows over 4 ranks: slabs of 4 or 5 rows (+2 halo)
+        in blocks of 7 rows, so short slabs leave one zero padding row."""
+        from repro.stencil import StencilConfig
+        from repro.stencil.base import default_initial
+        from repro.stencil.runner import VARIANTS
+
+        config = StencilConfig(global_shape=(20, 10), num_gpus=4, iterations=1)
+        variant = VARIANTS["cpufree"](config)
+        variant.setup()
+        initial = default_initial(config.global_shape, config.seed)
+        padded = 0
+        for sym in variant.sym:
+            assert sym.block.shape == (4, 7, 10)
+            for rank, (lo, hi) in enumerate(variant.decomp.ranges):
+                rows = hi - lo + 2
+                np.testing.assert_array_equal(sym.block[rank, :rows],
+                                              initial[lo - 1:hi + 1])
+                assert np.all(sym.block[rank, rows:] == 0.0)
+                padded += 7 - rows
+        assert padded > 0
+
+    def test_stencil_views_alias_the_heap_after_restore(self):
+        """Rollback writes snapshots back in place, so a variant's
+        per-rank arrays keep pointing into the heap blocks."""
+        from repro.stencil import StencilConfig
+        from repro.stencil.runner import VARIANTS
+
+        variant = VARIANTS["cpufree"](StencilConfig(
+            global_shape=(20, 10), num_gpus=4, iterations=1))
+        variant.setup()
+        heap = variant.nvshmem.heap
+        views = [list(pair) for pair in variant.arrays]
+        snap = heap.snapshot(epoch=0)
+        saved = [[v.copy() for v in pair] for pair in views]
+        for pair in views:
+            for view in pair:
+                view[...] = -1.0
+        heap.restore(snap)
+        for rank, pair in enumerate(variant.arrays):
+            for parity, view in enumerate(pair):
+                assert view is views[rank][parity]
+                assert np.shares_memory(view, variant.sym[parity].block)
+                np.testing.assert_array_equal(view, saved[rank][parity])
+
+
 class TestSignalArray:
     def test_four_signals_per_pe_like_the_paper(self, rt):
         """Paper §4.1.1: pairs of flags for top and bottom neighbors —

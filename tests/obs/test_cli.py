@@ -58,6 +58,21 @@ class TestRunCommands:
         assert err.startswith("error: invalid run configuration: ")
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["summary", "--metrics-out", "/nonexistent/d/m.json"],
+        ["summary", "--trace-out", "/nonexistent/d/t.json"],
+        ["timeline", "--timeline-out", "/nonexistent/d/t.json"],
+        ["whatif", "--json-out", "/nonexistent/d/w.json"],
+    ])
+    def test_bad_output_path_is_a_usage_error(self, capsys, argv):
+        """Rejected at parse time with exit 2, before the run."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *RUN_ARGS])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+
 
 class TestOutputs:
     def test_metrics_out_byte_identical_across_runs(self, tmp_path):

@@ -243,3 +243,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: invalid run configuration: ")
         assert err.count("\n") == 1
+
+    def test_cli_bad_report_path_is_a_usage_error(self, capsys):
+        from repro.recover.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--report-out", "/nonexistent/d/recovery.json"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1

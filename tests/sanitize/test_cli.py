@@ -66,6 +66,22 @@ def test_invalid_configuration_exits_two_not_one(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--report-out", "/nonexistent/d/r.json"],
+    ["run", "--trace-out", "/nonexistent/d/t.json"],
+    ["sweep", "--report-out", "/nonexistent/d/r.json"],
+    ["lint", "--report-out", "/nonexistent/d/r.json"],
+])
+def test_bad_output_path_exits_two_not_one(capsys, argv):
+    """Rejected at parse time with exit 2, before any run."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+
+
 def test_run_report_bytes_stable_across_reruns(tmp_path):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event simulation engine."""
 
+import gc
+
 import pytest
 
 from repro.sim import (
@@ -346,3 +348,82 @@ class TestProcessTableCompaction:
         sim.spawn(spawner(), name="spawner")
         sim.run()
         assert len(sim._processes) == 15001
+
+
+class TestCollectorPause:
+    """run() pauses the cyclic garbage collector for its dispatch loop
+    and hands the caller's setting back on every exit."""
+
+    @pytest.fixture(autouse=True)
+    def _restore_gc(self):
+        was_enabled = gc.isenabled()
+        yield
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @staticmethod
+    def _observer(seen):
+        def proc():
+            seen.append(gc.isenabled())
+            yield Delay(1.0)
+            seen.append(gc.isenabled())
+        return proc()
+
+    def test_paused_during_dispatch_and_restored_after(self):
+        gc.enable()
+        sim = Simulator()
+        seen = []
+        sim.spawn(self._observer(seen))
+        sim.run()
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_restored_after_until_return(self):
+        gc.enable()
+        sim = Simulator()
+        seen = []
+        sim.spawn(self._observer(seen))
+        assert sim.run(until=0.5) == 0.5
+        assert seen == [False]
+        assert gc.isenabled()
+        sim.run()
+        assert seen == [False, False]
+        assert gc.isenabled()
+
+    def test_restored_after_a_raising_process(self):
+        gc.enable()
+        sim = Simulator()
+
+        def boom():
+            yield Delay(1.0)
+            raise RuntimeError("boom")
+
+        sim.spawn(boom())
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert gc.isenabled()
+
+    def test_restored_after_deadlock(self):
+        gc.enable()
+        sim = Simulator()
+        flag = Flag(sim, 0)
+
+        def stuck():
+            yield WaitFlag(flag, ge=1)
+
+        sim.spawn(stuck(), name="stuck_proc")
+        with pytest.raises(DeadlockError):
+            sim.run()
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("until", [None, 0.5])
+    def test_disabled_on_entry_stays_disabled(self, until):
+        gc.disable()
+        sim = Simulator()
+        seen = []
+        sim.spawn(self._observer(seen))
+        sim.run(until=until)
+        assert seen[0] is False
+        assert not gc.isenabled()

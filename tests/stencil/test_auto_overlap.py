@@ -147,6 +147,24 @@ class TestTune:
         assert dumps_stable(schedule_payload(first)) \
             == dumps_stable(schedule_payload(second))
 
+    @pytest.mark.parametrize("argv", [
+        ["--budget", "0"],
+        ["--jobs", "0"],
+        ["--out", "/nonexistent/d/schedule.json"],
+        ["--winloss-out", "/nonexistent/d/winloss.json"],
+    ])
+    def test_cli_bad_count_or_output_path_is_a_usage_error(self, capsys, argv):
+        """Rejected at parse time with exit 2, before any trial runs."""
+        from repro.tune.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--size", "small", "--gpus", "2", "--iterations", "2",
+                  "--no-cache", *argv])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+
     def test_win_loss_payload_shape(self):
         table = win_loss_payload(sizes=("small",), gpu_counts=(1, 2),
                                  iterations=4)

@@ -8,15 +8,19 @@ same-process A/B comparison.  If a change legitimately alters the
 dumps, regenerate per tests/golden/README.md and review the diff.
 """
 
+import hashlib
 import json
 import pathlib
 
+import numpy as np
 import pytest
 
 from repro.obs.__main__ import main
 from repro.sanitize.__main__ import main as sanitize_main
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.stencil import StencilConfig, run_variant
+from repro.stencil.base import default_initial
+from repro.stencil.reference import jacobi_reference
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
 CANONICAL = ["summary", "--shape", "66x130", "--gpus", "2", "--iterations", "4"]
@@ -53,6 +57,50 @@ def test_two_domain_run_matches_committed_golden():
     """Hierarchical runs dispatch in exactly the pinned event order."""
     golden = (GOLDEN / "two_domain_cpufree.json").read_text()
     assert two_domain_dump() == golden
+
+
+#: one variant per buffer kind: cpufree and baseline_nvshmem allocate
+#: symmetric buffers, baseline_p2p regular device buffers
+DATA_VARIANTS = ("cpufree", "baseline_nvshmem", "baseline_p2p")
+DATA_CONFIG = dict(global_shape=(70, 34), num_gpus=16, iterations=3,
+                   seed=7, with_data=True)
+
+
+def two_domain_data_dump() -> str:
+    """Field SHA-256, metrics dump and span tuple of 16-PE with-data
+    runs on two 8-GPU NVSwitch domains, one entry per variant in
+    :data:`DATA_VARIANTS`.  The 68 interior rows split unevenly over 16
+    ranks, so symmetric buffers carry padding rows."""
+    out = {}
+    for variant in DATA_VARIANTS:
+        registry = MetricsRegistry()
+        with use_metrics(registry):
+            res = run_variant(variant, StencilConfig(**DATA_CONFIG))
+        spans = [[s.lane, s.name, s.category, s.start, s.end]
+                 for s in res.tracer.spans]
+        field = np.ascontiguousarray(res.result, dtype=np.float64)
+        out[variant] = {
+            "field_sha256": hashlib.sha256(field.tobytes()).hexdigest(),
+            "metrics": registry.to_dict(), "spans": spans,
+            "total_time_us": res.total_time_us}
+    return json.dumps(out, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_two_domain_data_runs_match_committed_golden():
+    """With-data runs keep their fields, event order and metrics."""
+    golden = (GOLDEN / "two_domain_data.json").read_text()
+    assert two_domain_data_dump() == golden
+
+
+def test_two_domain_data_golden_fields_are_the_reference():
+    """The pinned field hashes are those of the single-domain reference."""
+    expected = jacobi_reference(
+        default_initial(DATA_CONFIG["global_shape"], DATA_CONFIG["seed"]),
+        DATA_CONFIG["iterations"])
+    digest = hashlib.sha256(expected.tobytes()).hexdigest()
+    golden = json.loads((GOLDEN / "two_domain_data.json").read_text())
+    assert {v: golden[v]["field_sha256"] for v in DATA_VARIANTS} == \
+        {v: digest for v in DATA_VARIANTS}
 
 
 SANITIZE_GOLDENS = {
