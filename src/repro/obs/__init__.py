@@ -5,10 +5,14 @@ Three pieces, all deterministic and zero-cost when disabled:
 - :mod:`repro.obs.metrics` — the :class:`MetricsRegistry` (counters,
   gauges, fixed-bucket histograms) threaded through the engine,
   interconnect, NVSHMEM, SDFG codegen, and sweep layers;
-- :mod:`repro.obs.critical` — critical-path extraction over the traced
-  span DAG (lane order + signal flow links);
+- :mod:`repro.obs.spandag` — the one span-dependency DAG inferred from
+  a trace (lane order, flow links, wire issue anchors, host launch
+  anchors, barrier rounds, joins); :mod:`repro.obs.critical` walks its
+  binding chain into a per-resource critical path and
+  :mod:`repro.obs.whatif` replays it with scaled costs;
 - ``python -m repro.obs`` — the inspection CLI (``summary``, ``links``,
-  ``ops``, ``critical-path``, ``diff``).
+  ``ops``, ``critical-path``, ``timeline``, ``whatif``, ``regress``,
+  ``diff``).
 
 See ``docs/observability.md`` for the metrics catalogue and the
 determinism contract.

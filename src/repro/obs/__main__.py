@@ -41,10 +41,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from repro.cliutil import (CliError, cli_entry, output_path, parse_shape,
-                           run_configuration)
+                           positive_int, run_configuration)
 from repro.obs.critical import critical_path
 from repro.obs.diff import diff_metrics, load_metrics
 from repro.obs.metrics import MetricsRegistry, use_metrics
@@ -74,12 +75,13 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
                      help="write the metrics registry dump (JSON) to PATH")
     sub.add_argument("--trace-out", type=output_path, metavar="PATH",
                      help="write the Chrome-trace JSON to PATH")
-    sub.add_argument("--top", type=int, default=5,
+    sub.add_argument("--top", type=positive_int, default=5,
                      help="rows in top-k listings (default: 5)")
     sub.add_argument("--fault-profile", metavar="NAME", default=None,
                      help="run under this fault profile (e.g. transient or "
                           "lost_signal@7); recorded in the metrics dump")
-    sub.add_argument("--domain-gpus", type=int, default=None, metavar="N",
+    sub.add_argument("--domain-gpus", type=positive_int, default=None,
+                     metavar="N",
                      help="NVSwitch domain size: GPU counts above N build "
                           "the hierarchical multi-node topology (N-GPU "
                           "domains joined by NIC rails); default: the "
@@ -96,8 +98,6 @@ def _config(args: argparse.Namespace):
 
     extra = {}
     if args.domain_gpus is not None:
-        if args.domain_gpus <= 0:
-            raise CliError("--domain-gpus must be positive")
         from dataclasses import replace
 
         from repro.hw import HGX_A100_8GPU
@@ -190,8 +190,9 @@ def _parse_scale(text: str) -> tuple[str, float]:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"bad scale factor {factor!r} in {text!r}") from None
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"scale factor must be positive: {text!r}")
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"scale factor must be positive and finite: {text!r}")
     return resource, value
 
 
@@ -277,7 +278,7 @@ def main(argv: list[str] | None = None) -> int:
         if command == "timeline":
             sub.add_argument("--timeline-out", type=output_path, metavar="PATH",
                              help="write the byte-stable timeline JSON to PATH")
-            sub.add_argument("--width", type=int, default=80,
+            sub.add_argument("--width", type=positive_int, default=80,
                              help="gantt width in cells (default: 80)")
         elif command == "whatif":
             sub.add_argument("--scale", type=_parse_scale, action="append",

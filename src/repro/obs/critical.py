@@ -1,129 +1,86 @@
-"""Critical-path extraction over the traced span DAG.
+"""Critical-path extraction: the binding chain of the span DAG.
 
 The tracer records *what ran when*; this module answers *why the run
-took as long as it did*.  Dependencies are reconstructed from two
-sources:
+took as long as it did*.  It reads the same dependency DAG as the
+what-if replay (:mod:`repro.obs.spandag`) at scale 1.0, where the traced
+schedule is the DAG's fixed point, and walks back from the end of the
+last-ending span.  At each start or end event it follows the *binding*
+predecessor — the term attaining the max in the replay rule — so the
+chain is exactly the one a what-if scenario must shorten to save time.
 
-- **lane order**: on one lane (a host thread, a TB group, a wire),
-  a span depends on the latest span that finished at or before it
-  started;
-- **flow links**: a ``putmem_signal`` span whose metadata carries a
-  ``flow_s`` id feeds the ``signal_wait_until`` span on the destination
-  PE carrying the matching ``flow_f`` id (recorded by
-  :mod:`repro.nvshmem.device` when tracing is enabled).
-
-The longest dependency chain is computed by dynamic programming over
-spans sorted by completion time.  A flow dependency only contributes
-the *tail* of the waiting span — the part after the producer finished —
-so blocked time that overlaps the producer is not double counted.
-Attribution sums those contributions per category, reproducing the
-compute / comm / sync decomposition of the paper's overhead argument.
+Each step contributes the time between its event and its predecessor's
+event, so the contributions sum to the makespan.  That time goes to the
+resource whose what-if scale multiplies it (``compute``, ``comm`` or
+``host``); gaps, wait tails and the first event's offset from the trace
+start go to ``wait``.  A resource with no share on the path therefore
+saves nothing when the replay speeds it up — the paper's
+compute / communication / host-control decomposition of where an
+iteration's time goes.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
+from repro.obs.spandag import build_span_dag, resource_of
 from repro.sim.trace import Span
 
-__all__ = ["CriticalPathReport", "PathStep", "critical_path"]
+__all__ = ["RESOURCES", "CriticalPathReport", "PathStep", "critical_path"]
+
+#: attribution buckets: the three scalable resources, then waiting
+RESOURCES = ("compute", "comm", "host", "wait")
 
 
 @dataclass(frozen=True)
 class PathStep:
-    """One span on the critical path and its contributed time."""
+    """One start or end event on the critical path and the time it
+    adds after its binding predecessor's event."""
 
     span: Span
+    event: str  # "start" or "end"
+    resource: str
     contributed_us: float
 
 
 @dataclass
 class CriticalPathReport:
-    """The longest dependency chain and its attribution."""
+    """The binding chain and its per-resource attribution."""
 
     steps: list[PathStep]
     total_us: float
-    by_category: dict[str, float]
+    by_resource: dict[str, float]
     iterations: int = 1
 
     @property
     def per_iteration_us(self) -> float:
         return self.total_us / max(1, self.iterations)
 
-    def fraction(self, category: str) -> float:
-        return self.by_category.get(category, 0.0) / self.total_us if self.total_us else 0.0
-
-
-def _flow_id(span: Span, key: str):
-    meta = span.meta
-    return meta.get(key) if isinstance(meta, dict) else None
+    def fraction(self, resource: str) -> float:
+        return self.by_resource.get(resource, 0.0) / self.total_us if self.total_us else 0.0
 
 
 def critical_path(spans: list[Span], iterations: int = 1) -> CriticalPathReport:
-    """Longest dependency chain through ``spans`` (see module docs)."""
+    """Binding chain through ``spans`` (see module docs)."""
+    by_resource = dict.fromkeys(RESOURCES, 0.0)
     if not spans:
-        return CriticalPathReport([], 0.0, {}, iterations)
-    # deterministic processing order: completion time, then start/lane/name
-    order = sorted(range(len(spans)),
-                   key=lambda i: (spans[i].end, spans[i].start, spans[i].lane,
-                                  spans[i].name, i))
-    rank = {idx: pos for pos, idx in enumerate(order)}
-
-    # lane-order predecessor: latest span on the same lane with end <= start
-    by_lane: dict[str, list[int]] = {}
-    lane_pos: dict[int, int] = {}
-    for i in order:
-        members = by_lane.setdefault(spans[i].lane, [])
-        lane_pos[i] = len(members)
-        members.append(i)
-    lane_ends = {lane: [spans[j].end for j in members]
-                 for lane, members in by_lane.items()}
-
-    # flow links: producer span (flow_s) -> consumer span (flow_f)
-    producers = {_flow_id(spans[i], "flow_s"): i for i in order
-                 if _flow_id(spans[i], "flow_s") is not None}
-
-    best: dict[int, float] = {}
-    pred: dict[int, int | None] = {}
-    contrib: dict[int, float] = {}
-
-    for i in order:
-        span = spans[i]
-        candidates: list[tuple[float, float, int]] = []  # (chain, contributed, pred)
-        # lane predecessor: rightmost earlier lane span with end <= start
-        k = bisect_right(lane_ends[span.lane], span.start + 1e-12, 0, lane_pos[i]) - 1
-        if k >= 0:
-            prev = by_lane[span.lane][k]
-            candidates.append((best[prev] + span.duration, span.duration, prev))
-        # flow predecessor (only the tail after the producer completes)
-        fid = _flow_id(span, "flow_f")
-        if fid is not None:
-            j = producers.get(fid)
-            if j is not None and rank[j] < rank[i]:
-                tail = span.end - max(span.start, spans[j].end)
-                if tail >= 0:
-                    candidates.append((best[j] + tail, tail, j))
-        if candidates:
-            chain, used, parent = max(candidates, key=lambda c: (c[0], -rank[c[2]]))
-        else:
-            chain, used, parent = span.duration, span.duration, None
-        best[i] = chain
-        pred[i] = parent
-        contrib[i] = used
-
-    # endpoint: maximal chain; ties broken by the deterministic order
-    end = max(order, key=lambda i: (best[i], rank[i]))
+        return CriticalPathReport([], 0.0, by_resource, iterations)
+    dag = build_span_dag(spans)
+    times = dag.times()
+    ones = [1.0] * len(spans)
+    t0 = min(s.start for s in spans)
     steps: list[PathStep] = []
-    node: int | None = end
-    while node is not None:
-        steps.append(PathStep(spans[node], contrib[node]))
-        node = pred[node]
+    # the last span in the DAG order ends last (ties: latest rank)
+    last = 2 * dag.order[-1] + 1
+    event: int | None = last
+    while event is not None:
+        if len(steps) == len(times):  # a chain visits each event once
+            raise RuntimeError("binding cycle in the span DAG")
+        _value, (pred, _offset, by) = dag.bind(event, times, ones)
+        resource = "wait" if by is None else resource_of(spans[by]) or "wait"
+        contributed = times[event] - (t0 if pred is None else times[pred])
+        steps.append(PathStep(spans[event // 2], ("start", "end")[event % 2],
+                              resource, contributed))
+        by_resource[resource] += contributed
+        event = pred
     steps.reverse()
-
-    by_category: dict[str, float] = {}
-    for step in steps:
-        by_category[step.span.category] = (
-            by_category.get(step.span.category, 0.0) + step.contributed_us
-        )
-    return CriticalPathReport(steps, best[end], by_category, iterations)
+    return CriticalPathReport(steps, times[last] - t0, by_resource, iterations)

@@ -156,27 +156,28 @@ def ops_table(metrics: MetricsRegistry, *, top: int | None = None) -> str:
 
 
 def critical_path_table(report: CriticalPathReport, *, top: int = 20) -> str:
-    """The longest dependency chain and its category attribution."""
+    """The binding chain and its per-resource attribution."""
     lines = [
-        f"critical path: {_us(report.total_us)} us over {len(report.steps)} span(s)"
+        f"critical path: {_us(report.total_us)} us over {len(report.steps)} step(s)"
         f" ({_us(report.per_iteration_us)} us/iteration)"
     ]
-    cat_rows = [
-        [category, _us(us), _pct(report.fraction(category))]
-        for category, us in sorted(report.by_category.items(),
+    resource_rows = [
+        [resource, _us(us), _pct(report.fraction(resource))]
+        for resource, us in sorted(report.by_resource.items(),
                                    key=lambda kv: (-kv[1], kv[0]))
     ]
-    lines.append(_table(["category", "contributed us", "of path"], cat_rows))
+    lines.append(_table(["resource", "contributed us", "of path"], resource_rows))
     lines.append("")
     shown = report.steps if len(report.steps) <= top else report.steps[-top:]
     if len(report.steps) > top:
         lines.append(f"(last {top} of {len(report.steps)} steps)")
     step_rows = [
-        [step.span.lane, step.span.name, step.span.category,
-         _us(step.span.start), _us(step.span.end), _us(step.contributed_us)]
+        [step.span.lane, step.span.name, step.event, step.resource,
+         _us(step.span.start if step.event == "start" else step.span.end),
+         _us(step.contributed_us)]
         for step in shown
     ]
     lines.append(_table(
-        ["lane", "span", "category", "start", "end", "contributed us"], step_rows
+        ["lane", "span", "event", "resource", "at", "contributed us"], step_rows
     ))
     return "\n".join(lines)

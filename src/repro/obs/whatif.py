@@ -1,63 +1,12 @@
 """Causal what-if analysis: replay the span DAG with scaled costs.
 
 :mod:`repro.obs.critical` answers *why was the run this long*; this
-module answers *what would make it shorter*.  It rebuilds the same
-dependency structure the critical-path extractor uses — lane order plus
-``flow_s``/``flow_f`` signal links — and replays it with one resource's
-intrinsic cost virtually scaled, predicting the new makespan:
-"speeding up the wires 2x saves 31%; speeding up compute saves 4%".
-That ranking is the principled bottleneck ordering the ROADMAP's
-autotuner item needs.
-
-The replay model:
-
-* **Intrinsic durations scale.**  A span's duration is treated as work
-  on its resource: compute spans scale by ``Scenario.compute``, wire
-  spans by ``Scenario.comm`` (or a per-link override matched against
-  the ``wire.pe{s}->pe{d}`` lane name), host-thread and ``api`` spans
-  by ``Scenario.host``.  ``sync`` spans do *not* scale — their length
-  is waiting, which the replay re-derives.
-* **Lane slack is preserved.**  A span starts at its lane
-  predecessor's new end plus the original gap between them.  Gaps
-  encode scheduling structure the DAG does not model (issue order,
-  period offsets), so keeping them absolute is the conservative
-  choice: predictions never assume the runtime would also reschedule.
-* **Device work moves with its launch.**  A GPU-lane work span whose
-  start coincides with the end of a same-PE host ``api`` span (the
-  ``launch:``/``memcpyAsync:`` call that enqueued it) is anchored to
-  that span: it starts at the anchor's *new* end (still FIFO behind its
-  lane predecessor).  This is what propagates faster host control onto
-  the device timeline in CPU-controlled variants.
-* **Transfers move with their issuer.**  A wire span's start is its
-  *issue* time, which happens inside some span on the source PE (the
-  kernel or API call that called ``putmem_signal``).  The replay
-  anchors each wire span to the containing span on its source PE's
-  lanes, at the original offset scaled by that span's factor — so
-  faster compute issues its puts earlier and the transfers shift left
-  with it.  FIFO order on the wire lane is still enforced (a transfer
-  never starts before its lane predecessor's new end).
-* **Waits end when their producer arrives.**  A span carrying
-  ``flow_f`` ends at ``max(own start, producer's new end) + tail``,
-  where ``tail`` is the original post-arrival processing time.  A wait
-  whose producer speeds up shrinks; one whose producer slows down
-  stretches.
-* **Barriers release when the last party arrives.**  Sync spans named
-  like barriers (``host_barrier``, ``nvshmem_barrier_all``) that share
-  one original end across several lanes are one rendezvous round: every
-  member's span runs from its own arrival to a common release at
-  ``max(arrivals) + cost``.  The replay re-derives the release from the
-  members' *new* starts and scales the rendezvous cost with the span's
-  resource (host-side barriers are host-control overhead) — so a
-  CPU-controlled variant's per-iteration barrier responds both to the
-  stragglers arriving earlier and to faster host control.
-* **Joins end when their last dependent finishes.**  A ``sync`` span
-  with *no* flow link is a join — a host thread waiting for its
-  device's streams (``eventSync``, end-of-run ``wait``).  Its
-  producers are inferred: every same-PE span (GPU streams, outgoing
-  wires) whose *original* end fell inside the wait's window.  The
-  replayed wait ends when the latest of those ends in the replay —
-  this is what lets faster compute shorten a CPU-controlled variant's
-  launch-wait loop.
+module answers *what would make it shorter*.  It replays the dependency
+DAG of :mod:`repro.obs.spandag` — the one both analyses read, whose
+docstring states every rule — with one resource's intrinsic cost
+virtually scaled, predicting the new makespan: "speeding up the wires
+2x saves 31%; speeding up compute saves 4%".  That ranking is the
+principled bottleneck ordering the ROADMAP's autotuner item needs.
 
 Values are solved by fixed-point iteration (Gauss–Seidel sweeps in
 dependency-friendly order).  With every scale at 1.0 the original
@@ -65,23 +14,16 @@ schedule *is* the fixed point — each rule reproduces the original
 start/end exactly — so the replay converges immediately and deltas are
 pure effects of the scenario, never artifacts of the model (pinned in
 ``tests/obs/test_whatif.py``).
-
-Assumptions (documented in docs/observability.md): dependencies are
-fixed — scaling never changes *which* span satisfies a wait, overtakes
-FIFO order on a wire, or alters contention; and un-modeled slack stays
-constant rather than scaling with its neighbors.  Predictions are
-therefore first-order estimates, most trustworthy for modest scale
-factors.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from typing import Any, Iterable
 
-from repro.sim.trace import Span, pe_of_lane, wire_route
+from repro.obs.spandag import build_span_dag, resource_of
+from repro.sim.trace import Span
 
 __all__ = [
     "DEFAULT_SCENARIOS",
@@ -110,21 +52,15 @@ class Scenario:
     links: dict[str, float] = field(default_factory=dict)
 
     def scale_for(self, span: Span) -> float:
+        resource = resource_of(span)
+        if resource is None:
+            return 1.0  # sync: waiting is derived, not intrinsic
+        scale = getattr(self, resource)
         if span.lane.startswith("wire."):
-            scale = self.comm
             for pattern, value in self.links.items():
                 if fnmatch(span.lane, pattern):
                     scale = value
-            return scale
-        if span.lane.startswith("host"):
-            return self.host
-        if span.category == "compute":
-            return self.compute
-        if span.category == "comm":
-            return self.comm
-        if span.category == "api":
-            return self.host
-        return 1.0  # sync: waiting is derived, not intrinsic
+        return scale
 
 
 #: the standard bottleneck probe: each resource 2x faster, one at a time
@@ -135,222 +71,31 @@ DEFAULT_SCENARIOS = (
 )
 
 
-def _flow_id(span: Span, key: str):
-    meta = span.meta
-    return meta.get(key) if isinstance(meta, dict) else None
-
-
 def replay_makespan(spans: list[Span], scenario: Scenario,
                     max_passes: int = 25) -> float:
     """Predicted makespan (us) of ``spans`` under ``scenario``."""
     if not spans:
         return 0.0
-    n = len(spans)
-    # the same deterministic order + lane/flow dependency extraction as
-    # repro.obs.critical.critical_path — the two must see the same DAG
-    order = sorted(range(n),
-                   key=lambda i: (spans[i].end, spans[i].start, spans[i].lane,
-                                  spans[i].name, i))
-    rank = {idx: pos for pos, idx in enumerate(order)}
-
-    by_lane: dict[str, list[int]] = {}
-    lane_pos: dict[int, int] = {}
-    for i in order:
-        members = by_lane.setdefault(spans[i].lane, [])
-        lane_pos[i] = len(members)
-        members.append(i)
-    lane_ends = {lane: [spans[j].end for j in members]
-                 for lane, members in by_lane.items()}
-
-    lane_pred: list[int | None] = [None] * n
-    for i in order:
-        span = spans[i]
-        k = bisect_right(lane_ends[span.lane], span.start + 1e-12, 0,
-                         lane_pos[i]) - 1
-        if k >= 0:
-            lane_pred[i] = by_lane[span.lane][k]
-
-    producers = {_flow_id(spans[i], "flow_s"): i for i in order
-                 if _flow_id(spans[i], "flow_s") is not None}
-    flow_pred: list[int | None] = [None] * n
-    for i in order:
-        fid = _flow_id(spans[i], "flow_f")
-        j = producers.get(fid) if fid is not None else None
-        if j is not None and rank[j] < rank[i]:
-            flow_pred[i] = j
-
-    # per-PE spans (own GPU streams + outgoing wires), sorted by end:
-    # the candidate pool for issue anchors and join inference
-    pe_work: dict[int, list[int]] = {}
-    pe_other: dict[int, list[int]] = {}  # non-wire spans, sorted by start
-    for i in order:
-        span = spans[i]
-        pe = pe_of_lane(span.lane)
-        if pe is None:
-            continue
-        pe_work.setdefault(pe, []).append(i)
-        if not span.lane.startswith("wire."):
-            pe_other.setdefault(pe, []).append(i)
-    for members in pe_work.values():
-        members.sort(key=lambda j: (spans[j].end, spans[j].start,
-                                    spans[j].lane, spans[j].name, j))
-    for members in pe_other.values():
-        members.sort(key=lambda j: (spans[j].start, spans[j].end,
-                                    spans[j].lane, spans[j].name, j))
-    pe_work_ends = {pe: [spans[j].end for j in members]
-                    for pe, members in pe_work.items()}
-    pe_other_starts = {pe: [spans[j].start for j in members]
-                       for pe, members in pe_other.items()}
-
-    # issue anchor per wire span: the latest-starting same-source-PE
-    # span containing the wire span's start (the put's call site)
-    issuer: list[int | None] = [None] * n
-    for i in order:
-        route = wire_route(spans[i].lane)
-        if route is None:
-            continue
-        members = pe_other.get(route[0], [])
-        k = bisect_right(pe_other_starts.get(route[0], []),
-                         spans[i].start) - 1
-        while k >= 0:
-            j = members[k]
-            if spans[j].end + 1e-12 >= spans[i].start:
-                issuer[i] = j
-                break
-            k -= 1
-
-    # host anchor per GPU-lane work span: the same-PE host api span
-    # whose original end coincides with the span's start — the enqueue
-    # call it was waiting on.  Coincidence *is* the dependency signal;
-    # a span that started later than its enqueue was stream-queued and
-    # the lane FIFO rule already covers it.
-    pe_api: dict[int, list[int]] = {}
-    for i in order:
-        span = spans[i]
-        if span.lane.startswith("host") and span.category == "api":
-            pe = pe_of_lane(span.lane)
-            if pe is not None:
-                pe_api.setdefault(pe, []).append(i)
-    for members in pe_api.values():
-        members.sort(key=lambda j: (spans[j].end, spans[j].start, j))
-    pe_api_ends = {pe: [spans[j].end for j in members]
-                   for pe, members in pe_api.items()}
-
-    host_anchor: list[int | None] = [None] * n
-    for i in order:
-        span = spans[i]
-        if (not span.lane.startswith("gpu") or span.lane.startswith("wire.")
-                or span.category == "sync"):
-            continue
-        pe = pe_of_lane(span.lane)
-        members = pe_api.get(pe, [])
-        ends = pe_api_ends.get(pe, [])
-        k = bisect_right(ends, span.start + 1e-12) - 1
-        while k >= 0 and ends[k] >= span.start - 1e-12:
-            j = members[k]
-            if rank[j] < rank[i]:
-                host_anchor[i] = j
-                break
-            k -= 1
-
-    # barrier rounds: sync spans *named* like barriers that share one
-    # original end across distinct lanes are one rendezvous.  The name
-    # check matters — symmetric per-rank waits can end at the same
-    # instant without being causally coupled, and grouping those would
-    # freeze their (join-derived) durations.
-    barrier_group: list[list[int] | None] = [None] * n
-    rounds: dict[tuple[str, float], list[int]] = {}
-    for i in order:
-        span = spans[i]
-        if (span.category == "sync" and flow_pred[i] is None
-                and "barrier" in span.name):
-            rounds.setdefault((span.name, span.end), []).append(i)
-    for members in rounds.values():
-        if len({spans[j].lane for j in members}) >= 2:
-            for j in members:
-                barrier_group[j] = members
-
-    # join producers per flow-less sync span: same-PE work whose
-    # original end fell inside the wait's window (ties by rank so two
-    # equal-ended joins never wait on each other)
-    joins: list[list[int] | None] = [None] * n
-    for i in order:
-        span = spans[i]
-        if (span.category != "sync" or flow_pred[i] is not None
-                or barrier_group[i] is not None):
-            continue
-        pe = pe_of_lane(span.lane)
-        members = pe_work.get(pe) if pe is not None else None
-        if not members:
-            continue
-        ends = pe_work_ends[pe]
-        lo = bisect_right(ends, span.start - 1e-12)
-        hi = bisect_right(ends, span.end + 1e-12)
-        deps = [j for j in members[lo:hi]
-                if j != i and spans[j].lane != span.lane
-                and (spans[j].end < span.end - 1e-12 or rank[j] < rank[i])]
-        if deps:
-            joins[i] = deps
-
-    new_start = [s.start for s in spans]
-    new_end = [s.end for s in spans]
+    dag = build_span_dag(spans)
+    scales = [scenario.scale_for(span) for span in spans]
+    times = dag.times()
     t0 = min(s.start for s in spans)
 
-    # Gauss–Seidel: the rules below each reproduce the original value
-    # when every scale is 1.0, so the original schedule is the fixed
-    # point and the first sweep makes no changes.  Scaled scenarios
-    # converge in a few sweeps because `order` is nearly topological.
+    # Gauss–Seidel sweeps in the DAG's nearly topological order, so
+    # scaled scenarios converge in a few; at scale 1.0 the first sweep
+    # changes nothing (see module docs)
     for _ in range(max_passes):
         changed = False
-        for i in order:
-            span = spans[i]
-            prev = lane_pred[i]
-            if span.lane.startswith("wire."):
-                anchor = span.start
-                j = issuer[i]
-                if j is not None:
-                    anchor = (new_start[j]
-                              + (span.start - spans[j].start)
-                              * scenario.scale_for(spans[j]))
-                # FIFO: never overtake the prior transfer on this route
-                start = anchor if prev is None else max(anchor, new_end[prev])
-            elif host_anchor[i] is not None:
-                # enqueued work starts when its enqueue call retires,
-                # still FIFO behind whatever the stream ran before it
-                start = new_end[host_anchor[i]]
-                if prev is not None:
-                    start = max(start, new_end[prev])
-            elif prev is not None:
-                # preserve the original gap to the lane predecessor
-                start = new_end[prev] + (span.start - spans[prev].end)
-            else:
-                # first span on its lane keeps its absolute offset
-                start = span.start
-            j = flow_pred[i]
-            if j is not None:
-                tail = span.end - max(span.start, spans[j].end)
-                end = max(start, new_end[j]) + max(0.0, tail)
-            elif barrier_group[i] is not None:
-                members = barrier_group[i]
-                arrived = max(start if j == i else new_start[j]
-                              for j in members)
-                cost = span.end - max(spans[j].start for j in members)
-                end = arrived + max(0.0, cost) * scenario.scale_for(span)
-            elif joins[i] is not None:
-                arrived = max(new_end[j] for j in joins[i])
-                tail = span.end - max(spans[j].end for j in joins[i])
-                end = max(start, arrived) + max(0.0, tail)
-            else:
-                end = start + span.duration * scenario.scale_for(span)
-            if (abs(start - new_start[i]) > 1e-9
-                    or abs(end - new_end[i]) > 1e-9):
-                changed = True
-            new_start[i] = start
-            new_end[i] = end
+        for i in dag.order:
+            for event in (2 * i, 2 * i + 1):
+                value, _term = dag.bind(event, times, scales)
+                if abs(value - times[event]) > 1e-9:
+                    changed = True
+                times[event] = value
         if not changed:
             break
 
-    return max(new_end) - t0
+    return max(times[1::2]) - t0
 
 
 def whatif_report(spans: Iterable[Span],

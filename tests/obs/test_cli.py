@@ -36,6 +36,8 @@ class TestRunCommands:
         assert "critical path:" in out
         assert "us/iteration" in out
         assert "contributed us" in out
+        for resource in ("compute", "comm", "host", "wait"):
+            assert resource in out
 
     def test_unknown_variant_is_a_cli_error(self, capsys):
         with pytest.raises(CliError, match="unknown variant"):
@@ -71,6 +73,27 @@ class TestRunCommands:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
+        assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
+
+
+    @pytest.mark.parametrize("argv", [
+        ["timeline", "--width", "0"],
+        ["timeline", "--width", "-3"],
+        ["summary", "--top", "-1"],
+        ["ops", "--top", "0"],
+        ["summary", "--domain-gpus", "0"],
+        ["whatif", "--scale", "compute=nan"],
+        ["whatif", "--scale", "compute=inf"],
+    ])
+    def test_bad_count_or_scale_is_a_usage_error(self, capsys, argv):
+        """Non-positive counts and non-finite factors exit 2 at parse
+        time, never a traceback or a silently misread listing."""
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, *RUN_ARGS])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Traceback" not in captured.err
         assert len([ln for ln in captured.err.splitlines() if "error:" in ln]) == 1
 
 

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 from repro.obs.__main__ import main
+from repro.obs.stablejson import dumps_stable
+from repro.obs.whatif import whatif_report
 from repro.sanitize.__main__ import main as sanitize_main
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.stencil import StencilConfig, run_variant
@@ -101,6 +103,37 @@ def test_two_domain_data_golden_fields_are_the_reference():
     golden = json.loads((GOLDEN / "two_domain_data.json").read_text())
     assert {v: golden[v]["field_sha256"] for v in DATA_VARIANTS} == \
         {v: digest for v in DATA_VARIANTS}
+
+
+#: the six (variant, shape, gpus) runs of
+#: tests/obs/test_whatif.py::TestExactnessAtScaleOne, 4 iterations each
+WHATIF_GRID = (
+    ("cpufree", (2050, 2050), 4),
+    ("cpufree", (130, 258), 4),
+    ("baseline_overlap", (1026, 2050), 4),
+    ("baseline_copy", (1026, 2050), 4),
+    ("cpufree_perks", (1026, 2050), 2),
+    ("baseline_nvshmem", (1026, 2050), 2),
+)
+
+
+def whatif_grid_dump() -> str:
+    """The default what-if report of every :data:`WHATIF_GRID` run,
+    keyed ``variant/RxC/gpus``, as one :func:`dumps_stable` document."""
+    out = {}
+    for variant, shape, gpus in WHATIF_GRID:
+        res = run_variant(variant, StencilConfig(
+            global_shape=shape, num_gpus=gpus, iterations=4,
+            with_data=False))
+        out[f"{variant}/{shape[0]}x{shape[1]}/{gpus}"] = \
+            whatif_report(res.tracer.spans)
+    return dumps_stable(out)
+
+
+def test_whatif_grid_matches_committed_golden():
+    """The replay predicts exactly the pinned makespans and savings."""
+    golden = (GOLDEN / "whatif_grid.json").read_text()
+    assert whatif_grid_dump() == golden
 
 
 SANITIZE_GOLDENS = {
