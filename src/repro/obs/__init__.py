@@ -11,15 +11,13 @@ Three pieces, all deterministic and zero-cost when disabled:
   binding chain into a per-resource critical path and
   :mod:`repro.obs.whatif` replays it with scaled costs;
 - ``python -m repro.obs`` — the inspection CLI (``summary``, ``links``,
-  ``ops``, ``critical-path``, ``timeline``, ``whatif``, ``regress``,
-  ``diff``).
+  ``ops``, ``critical-path``, ``timeline``, ``whatif``, ``regress``).
 
 See ``docs/observability.md`` for the metrics catalogue and the
 determinism contract.
 """
 
 from repro.obs.critical import CriticalPathReport, PathStep, critical_path
-from repro.obs.diff import diff_metrics, flatten_metrics, load_metrics
 from repro.obs.metrics import (
     DEFAULT_US_EDGES,
     Counter,
@@ -47,10 +45,7 @@ __all__ = [
     "active_metrics",
     "critical_path",
     "critical_path_table",
-    "diff_metrics",
-    "flatten_metrics",
     "links_table",
-    "load_metrics",
     "ops_table",
     "summary_table",
     "use_metrics",

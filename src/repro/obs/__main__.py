@@ -10,7 +10,7 @@ Usage::
     python -m repro.obs timeline --variant cpufree --gpus 4
     python -m repro.obs whatif --scale comm=0.5
     python -m repro.obs regress perf-history.jsonl --rtol 0.05
-    python -m repro.obs diff old.json new.json --threshold 0.05
+    python -m repro.obs regress old.json new.json --rtol 0.05
 
 The run subcommands (``summary`` / ``links`` / ``ops`` /
 ``critical-path`` / ``timeline`` / ``whatif``) execute one stencil
@@ -28,13 +28,13 @@ savings; ``--scale compute=0.5`` (repeatable; also ``comm``, ``host``,
 or a ``wire.pe0->*``-style link pattern) probes one custom scenario
 instead of the default x2 sweep.
 
-``regress`` compares two runs out of a perf-history JSONL file
-(written by ``python -m repro.bench --history``) and exits 1 when any
-point's median moved past its noise tolerance in the bad direction.
-
-``diff`` compares two metric dumps (registry dumps or any nested JSON
-of numbers, e.g. ``BENCH_*.json``) and exits with status 1 when any
-metric increased by more than ``--threshold`` (relative).
+``regress`` is the one regression gate.  Given a perf-history JSONL
+file (written by ``python -m repro.bench --history``) it compares two
+runs' per-point medians; given two metric dumps (registry dumps or any
+nested JSON of numbers, e.g. ``BENCH_*.json``) it compares their
+flattened values, lower-is-better.  Either way it exits 1 when any
+value moved past its tolerance (``--rtol``, ``--rtol-for``) in the bad
+direction.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ import sys
 from repro.cliutil import (CliError, cli_entry, output_path, parse_shape,
                            positive_int, run_configuration)
 from repro.obs.critical import critical_path
-from repro.obs.diff import diff_metrics, load_metrics
 from repro.obs.metrics import MetricsRegistry, use_metrics
 from repro.obs.report import (
     critical_path_table,
@@ -119,7 +118,7 @@ def _config(args: argparse.Namespace):
 
 def _run_variant(args: argparse.Namespace):
     """Execute the configured stencil run under a fresh registry."""
-    # import here so `diff`/`regress` work without pulling in the simulator
+    # import here so `regress` works without pulling in the simulator
     from repro.stencil.base import VARIANTS
 
     if args.variant not in VARIANTS:
@@ -239,15 +238,22 @@ def _whatif_command(args: argparse.Namespace, result) -> None:
 
 
 def _regress_command(args: argparse.Namespace) -> int:
-    from repro.obs.history import HistoryStore, regress, regress_table
+    from repro.obs.history import (HistoryStore, compare, load_metrics,
+                                   regress, regress_table)
 
-    store = HistoryStore(args.history)
     rtol_for = dict(args.rtol_for or [])
     try:
-        report = regress(store, run=args.run, baseline=args.baseline,
-                         field_name=args.field, rtol=args.rtol,
-                         rtol_for=rtol_for)
-    except ValueError as exc:
+        if args.new is not None:
+            report = compare(load_metrics(args.path), load_metrics(args.new),
+                             run=args.new, baseline_run=args.path,
+                             field_name="metrics", rtol=args.rtol,
+                             rtol_for=rtol_for)
+        else:
+            report = regress(HistoryStore(args.path), run=args.run,
+                             baseline=args.baseline,
+                             field_name=args.field or "per_iter_us",
+                             rtol=args.rtol, rtol_for=rtol_for)
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from None
     print(regress_table(report, show_ok=args.show_ok))
     return 1 if report.regressions else 0
@@ -290,14 +296,21 @@ def main(argv: list[str] | None = None) -> int:
             sub.add_argument("--json-out", type=output_path, metavar="PATH",
                              help="write the byte-stable what-if JSON to PATH")
     regress_p = subparsers.add_parser("regress")
-    regress_p.add_argument("history", help="perf-history JSONL file "
-                           "(python -m repro.bench --history)")
+    regress_p.add_argument("path", metavar="HISTORY|OLD",
+                           help="perf-history JSONL file (python -m "
+                                "repro.bench --history), or the baseline "
+                                "metric dump when NEW is given")
+    regress_p.add_argument("new", nargs="?", metavar="NEW",
+                           help="metric dump to judge against OLD")
     regress_p.add_argument("--run", default=None,
-                           help="run label to judge (default: latest in file)")
+                           help="history run label to judge (default: "
+                                "latest in file)")
     regress_p.add_argument("--baseline", default=None,
-                           help="baseline run label (default: first other run)")
-    regress_p.add_argument("--field", default="per_iter_us",
-                           help="record field to compare (default: per_iter_us)")
+                           help="history baseline run label (default: "
+                                "first other run)")
+    regress_p.add_argument("--field", default=None,
+                           help="history record field to compare (default: "
+                                "per_iter_us)")
     regress_p.add_argument("--rtol", type=float, default=0.05,
                            help="relative tolerance before a move in the bad "
                                 "direction counts as a regression "
@@ -308,19 +321,12 @@ def main(argv: list[str] | None = None) -> int:
                                 "point ids (repeatable; last match wins)")
     regress_p.add_argument("--show-ok", action="store_true",
                            help="also list points that did not regress")
-    diff = subparsers.add_parser("diff")
-    diff.add_argument("old", help="baseline metrics JSON")
-    diff.add_argument("new", help="candidate metrics JSON")
-    diff.add_argument("--threshold", type=float, default=0.05,
-                      help="relative increase that counts as a regression "
-                           "(default: 0.05)")
-    diff.add_argument("--all", action="store_true",
-                      help="print every compared metric, not just changes")
     args = parser.parse_args(argv)
 
-    if args.command == "diff":
-        return _diff_command(args)
     if args.command == "regress":
+        if args.new is not None and (args.run or args.baseline or args.field):
+            regress_p.error("--run/--baseline/--field apply to a history "
+                            "file, not to two metric dumps")
         return _regress_command(args)
 
     result, registry, findings = _run_variant(args)
@@ -348,32 +354,6 @@ def main(argv: list[str] | None = None) -> int:
             print(f"  {finding.summary()}")
     _write_outputs(args, result, registry)
     return 1 if findings else 0
-
-
-def _diff_command(args: argparse.Namespace) -> int:
-    try:
-        old = load_metrics(args.old)
-        new = load_metrics(args.new)
-    except (OSError, ValueError) as exc:
-        raise CliError(str(exc)) from None
-    deltas = diff_metrics(old, new)
-    only_old = sorted(old.keys() - new.keys())
-    only_new = sorted(new.keys() - old.keys())
-    regressions = [d for d in deltas if d.is_regression(args.threshold)]
-    for delta in deltas:
-        if not args.all and delta.rel == 0.0:
-            continue
-        marker = "REGRESSION" if delta.is_regression(args.threshold) else (
-            "improved" if delta.rel < 0 else "within threshold")
-        rel = "new" if delta.rel == float("inf") else f"{100.0 * delta.rel:+.1f}%"
-        print(f"{delta.key}: {delta.old:g} -> {delta.new:g} ({rel}) [{marker}]")
-    for key in only_old:
-        print(f"{key}: only in {args.old}")
-    for key in only_new:
-        print(f"{key}: only in {args.new}")
-    print(f"{len(deltas)} metric(s) compared, {len(regressions)} regression(s) "
-          f"beyond {100.0 * args.threshold:.1f}%")
-    return 1 if regressions else 0
 
 
 if __name__ == "__main__":

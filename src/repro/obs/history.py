@@ -43,12 +43,26 @@ tolerance.
 **Median of N.**  A run may contain several records per id (repeat
 sweeps); comparisons use the per-id median, so one noisy repetition
 cannot flip the verdict.
+
+**One comparator.**  :func:`compare` judges any two ``{id: value}``
+maps.  A history file feeds it per-run medians (:func:`regress`); two
+metric dumps feed it their flattened values (:func:`load_metrics`),
+lower-is-better — event counts, bytes and simulated time all mean
+"more is worse".  Both dump shapes the repo writes are accepted:
+
+- a :meth:`~repro.obs.metrics.MetricsRegistry.to_json` dump (sections
+  ``counters`` / ``gauges`` / ``histograms``), flattened to
+  ``name{k=v,...}`` keys (histograms contribute ``...:sum`` and
+  ``...:count``);
+- any nested JSON object of numbers (e.g. a ``BENCH_*.json`` record),
+  flattened to dotted paths; non-numeric leaves are ignored.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from fnmatch import fnmatch
 from pathlib import Path
@@ -59,6 +73,9 @@ __all__ = [
     "HistoryStore",
     "RegressEntry",
     "RegressReport",
+    "compare",
+    "flatten_metrics",
+    "load_metrics",
     "normalized_identity",
     "regress",
     "regress_table",
@@ -233,18 +250,102 @@ def _tolerance(identity: str, rtol: float,
     return tol
 
 
+def _labeled(name: str, labels: dict[str, str]) -> str:
+    if not labels:
+        return name
+    inner = ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
+    return f"{name}{{{inner}}}"
+
+
+def flatten_metrics(payload: dict[str, Any]) -> dict[str, float]:
+    """Flatten a dump (either shape, see module docs) to ``key -> value``."""
+    sections = ("counters", "gauges", "histograms")
+    if all(isinstance(payload.get(s), list) for s in sections):
+        flat: dict[str, float] = {}
+        for section in ("counters", "gauges"):
+            for entry in payload[section]:
+                flat[_labeled(entry["name"], entry["labels"])] = float(entry["value"])
+        for entry in payload["histograms"]:
+            base = _labeled(entry["name"], entry["labels"])
+            flat[f"{base}:sum"] = float(entry["sum"])
+            flat[f"{base}:count"] = float(entry["count"])
+        return flat
+    flat = {}
+
+    def walk(node: Any, path: str) -> None:
+        if isinstance(node, dict):
+            for key, value in node.items():
+                walk(value, f"{path}.{key}" if path else str(key))
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            flat[path] = float(node)
+
+    walk(payload, "")
+    return flat
+
+
+def load_metrics(path: str) -> dict[str, float]:
+    """Load and flatten a JSON metrics dump from disk."""
+    with open(path) as fh:
+        payload = json.load(fh)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{path}: expected a JSON object, got {type(payload).__name__}")
+    return flatten_metrics(payload)
+
+
+def compare(baseline: dict[str, float], current: dict[str, float], *,
+            run: str = "current", baseline_run: str = "baseline",
+            field_name: str = "value", rtol: float = 0.05,
+            rtol_for: dict[str, float] | None = None) -> RegressReport:
+    """Judge ``current`` against ``baseline``, id by id.
+
+    An id regresses when its value moves in the *bad* direction (an
+    increase, unless ``field_name`` is higher-is-better) by more than
+    its tolerance.  ``rel`` is ``(current - baseline) / |baseline|``; a
+    move away from a zero baseline is ``±inf`` by its direction.  Ids
+    present on only one side are reported (``missing`` / ``added``)
+    but never fail the gate — the id set may legitimately change
+    between commits.
+    """
+    # unknown fields default to lower-is-better (they are times)
+    bad_sign = -1.0 if field_name in HIGHER_IS_BETTER else 1.0
+    report = RegressReport(run, baseline_run, field_name)
+    for pid in sorted(baseline.keys() | current.keys()):
+        tol = _tolerance(pid, rtol, rtol_for)
+        if pid not in current:
+            report.entries.append(RegressEntry(pid, baseline[pid], None, 0.0,
+                                               tol, "missing"))
+            continue
+        if pid not in baseline:
+            report.entries.append(RegressEntry(pid, None, current[pid], 0.0,
+                                               tol, "added"))
+            continue
+        b, c = baseline[pid], current[pid]
+        if c == b:
+            rel = 0.0
+        elif b == 0:
+            rel = math.copysign(math.inf, c)
+        else:
+            rel = (c - b) / abs(b)
+        badness = bad_sign * rel
+        if badness > tol:
+            status = "regression"
+        elif badness < 0.0:
+            status = "improved"
+        else:
+            status = "ok"
+        report.entries.append(RegressEntry(pid, b, c, rel, tol, status))
+    return report
+
+
 def regress(store: HistoryStore, *, run: str | None = None,
             baseline: str | None = None, field_name: str = "per_iter_us",
             rtol: float = 0.05,
             rtol_for: dict[str, float] | None = None) -> RegressReport:
-    """Compare ``run`` against ``baseline`` on one field.
+    """Compare ``run`` against ``baseline`` on one field's per-id
+    medians (see :func:`compare`).
 
     Defaults: ``run`` is the latest label in the store, ``baseline``
-    the first label that differs from ``run``.  A point regresses when
-    its median moves in the *bad* direction (field-dependent) by more
-    than its tolerance; points present on only one side are reported
-    (``missing`` / ``added``) but never fail the gate — the point set
-    may legitimately change between commits.
+    the first label that differs from ``run``.
     """
     runs = store.runs()
     if run is None:
@@ -260,35 +361,10 @@ def regress(store: HistoryStore, *, run: str | None = None,
     if baseline not in runs:
         raise ValueError(f"no records for baseline run {baseline!r} in "
                          f"{store.path} (runs: {runs})")
-    if field_name in HIGHER_IS_BETTER:
-        bad_sign = -1.0
-    else:
-        # unknown fields default to lower-is-better (they are times)
-        bad_sign = 1.0
-    base = store.medians(baseline, field_name)
-    cur = store.medians(run, field_name)
-    report = RegressReport(run, baseline, field_name)
-    for pid in sorted(base.keys() | cur.keys()):
-        tol = _tolerance(pid, rtol, rtol_for)
-        if pid not in cur:
-            report.entries.append(RegressEntry(pid, base[pid], None, 0.0, tol,
-                                               "missing"))
-            continue
-        if pid not in base:
-            report.entries.append(RegressEntry(pid, None, cur[pid], 0.0, tol,
-                                               "added"))
-            continue
-        b, c = base[pid], cur[pid]
-        rel = (c - b) / b if b else (0.0 if c == b else float("inf"))
-        badness = bad_sign * rel
-        if badness > tol:
-            status = "regression"
-        elif badness < 0.0:
-            status = "improved"
-        else:
-            status = "ok"
-        report.entries.append(RegressEntry(pid, b, c, rel, tol, status))
-    return report
+    return compare(store.medians(baseline, field_name),
+                   store.medians(run, field_name),
+                   run=run, baseline_run=baseline, field_name=field_name,
+                   rtol=rtol, rtol_for=rtol_for)
 
 
 def regress_table(report: RegressReport, *, show_ok: bool = False) -> str:

@@ -5,12 +5,19 @@ The cost model in :func:`repro.stencil.variants.auto_overlap.
 choose_schedule` predicts a chunk count from calibrated constants
 alone.  This package *refines* that guess by measuring: it sweeps
 (chunk count × TB-specialization split × boundary fusion) candidates
-per (app, topology, size) through the :mod:`repro.perf` runner, so
-every trial is an ordinary sweep point — fanned out over ``--jobs``
-worker processes, cached on disk by content key, and replayable via
-``--changed-only`` manifests.  Re-running the tuner on an unchanged
-repo replays every trial from the cache (the manifest classifies them
-``replayed``) and re-emits byte-identical schedule JSON.
+for one :class:`~repro.stencil.base.StencilConfig` (any shape or
+dimension) through the :mod:`repro.perf` runner, so every trial is an
+ordinary sweep point — fanned out over ``--jobs`` worker processes,
+cached on disk by content key, and replayable via ``--changed-only``
+manifests.  Re-running the tuner on an unchanged repo replays every
+trial from the cache (the manifest classifies them ``replayed``) and
+re-emits byte-identical schedule JSON.
+
+The same machinery checks the paper's §4.1.2 closed-form TB split:
+:func:`tb_split_grid` is the chunks=1 grid over :func:`candidate_splits`
+plus the formula's own split, and with :func:`formula_schedule` as the
+model, :attr:`TuneResult.model_regret_percent` is the formula's regret
+against the empirical optimum.
 
 Determinism contract: the candidate grid is a pure function of the
 configuration (priority-ordered, deduplicated, budget-truncated), the
@@ -21,7 +28,7 @@ resolve to the earlier, simpler candidate — and all JSON goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 # reuses the figure suite's sweep worker so the cpufree baseline point
 # shares cache entries with `repro.bench` runs of the same config
@@ -31,7 +38,6 @@ from repro.bench.figures import (
     _stencil_point,
     weak_shape_2d,
 )
-from repro.core.autotune import candidate_splits
 from repro.perf import SweepRunner, active_runner
 from repro.stencil.base import StencilConfig
 from repro.stencil.variants.auto_overlap import (
@@ -40,13 +46,17 @@ from repro.stencil.variants.auto_overlap import (
     OverlapSchedule,
     choose_schedule,
 )
+from repro.stencil.variants.cpufree import CPUFree
 
 __all__ = [
     "SCHEDULE_FORMAT",
     "WINLOSS_FORMAT",
     "TuneResult",
+    "candidate_splits",
+    "formula_schedule",
     "schedule_grid",
     "schedule_payload",
+    "tb_split_grid",
     "trial_point",
     "tune",
     "win_loss_payload",
@@ -57,36 +67,47 @@ WINLOSS_FORMAT = "repro-tune-winloss-v1"
 
 
 def _config(size: str, gpus: int, iterations: int) -> StencilConfig:
-    """The tuner's fixed app/topology: 2D Jacobi, weak-scaling shapes,
-    timing-only (identical simulated time to the data-carrying run)."""
+    """A win/loss point: 2D Jacobi at the figure suite's weak-scaling
+    shape, timing-only (identical simulated time to the data-carrying
+    run)."""
     return StencilConfig(
         global_shape=weak_shape_2d(SIZE_CLASSES_2D[size], gpus),
         num_gpus=gpus, iterations=iterations, with_data=False,
     )
 
 
-def trial_point(size: str, gpus: int, iterations: int, chunks: int,
-                boundary_tb_per_side: int | None, fuse_boundary: bool) -> dict:
+def trial_point(config: StencilConfig, schedule: OverlapSchedule) -> dict:
     """Sweep worker: measure one schedule candidate.
 
-    Top-level and primitive-argument on purpose: the :mod:`repro.perf`
-    cache keys points by ``qualname + repr(args) + source digest``, so
-    this signature is the trial's cache identity.
+    Top-level and frozen-dataclass-argument on purpose: the
+    :mod:`repro.perf` cache keys points by ``qualname + repr(args) +
+    source digest``, so the config and schedule reprs are the trial's
+    cache identity (as for ``_stencil_point``).
     """
-    schedule = OverlapSchedule(
-        chunks=chunks,
-        boundary_tb_per_side=boundary_tb_per_side,
-        fuse_boundary=fuse_boundary,
-    )
-    res = AutoOverlap(_config(size, gpus, iterations), schedule=schedule).run()
+    res = AutoOverlap(config, schedule=schedule).run()
     return {
         "per_iteration_us": res.per_iteration_us,
         "overlap_ratio": res.overlap_ratio,
     }
 
 
-def schedule_grid(config: StencilConfig, *,
-                  budget: int | None = None) -> list[OverlapSchedule]:
+def candidate_splits(tb_total: int, *, sides: int = 2,
+                     max_candidates: int = 12) -> list[int]:
+    """Geometrically spaced boundary block-count candidates."""
+    if tb_total < sides + 1:
+        raise ValueError("device too small to specialize")
+    limit = (tb_total - 1) // sides
+    out: list[int] = []
+    candidate = 1
+    while candidate <= limit and len(out) < max_candidates:
+        out.append(candidate)
+        candidate = max(candidate + 1, int(candidate * 1.6))
+    if out[-1] != limit and len(out) < max_candidates:
+        out.append(limit)
+    return out
+
+
+def schedule_grid(config: StencilConfig) -> list[OverlapSchedule]:
     """Candidate schedules in deterministic priority order.
 
     Tiers, so a small ``--budget`` still explores every axis instead of
@@ -100,7 +121,7 @@ def schedule_grid(config: StencilConfig, *,
     4. the remaining full cross-product.
 
     Duplicates collapse onto their first (highest-priority) position;
-    ``budget`` truncates the tail.
+    :func:`tune`'s ``budget`` truncates the tail.
     """
     seed = choose_schedule(config)
     tb_total = config.node.gpu.max_coresident_blocks(config.threads_per_block)
@@ -115,19 +136,32 @@ def schedule_grid(config: StencilConfig, *,
             for fuse in (False, True):
                 tiers.append(OverlapSchedule(k, s, fuse))
     seen: set[OverlapSchedule] = set()
-    ordered = [s for s in tiers if not (s in seen or seen.add(s))]
-    if budget is not None:
-        ordered = ordered[:budget]
-    return ordered
+    return [s for s in tiers if not (s in seen or seen.add(s))]
+
+
+def formula_schedule(config: StencilConfig) -> OverlapSchedule:
+    """cpufree's schedule with the §4.1.2 closed-form split (rank 0's,
+    as cpufree computes it) pinned on every rank."""
+    plan = CPUFree(config).specialization(0)
+    return OverlapSchedule(1, plan.boundary_tb_per_side)
+
+
+def tb_split_grid(config: StencilConfig) -> list[OverlapSchedule]:
+    """The §4.1.2 formula check: chunks=1 schedules over the candidate
+    splits and the formula's own split, in ascending split order (so a
+    tie resolves to the smaller split)."""
+    tb_total = config.node.gpu.max_coresident_blocks(config.threads_per_block)
+    splits = set(candidate_splits(tb_total))
+    splits.add(formula_schedule(config).boundary_tb_per_side)
+    return [OverlapSchedule(1, s) for s in sorted(splits)]
 
 
 @dataclass
 class TuneResult:
-    """Outcome of one (app, topology, size) search."""
+    """Outcome of one configuration's search."""
 
-    size: str
-    gpus: int
-    iterations: int
+    #: the timing-only configuration every trial ran
+    config: StencilConfig
     best: OverlapSchedule
     best_per_iteration_us: float
     cpufree_per_iteration_us: float
@@ -138,42 +172,45 @@ class TuneResult:
 
     @property
     def model_regret_percent(self) -> float:
-        """How much slower the pure cost-model schedule is than the
-        empirical optimum (0.0 = the model found it)."""
+        """How much slower the model's schedule is than the empirical
+        optimum (0.0 = the model found it)."""
         if self.best_per_iteration_us == 0.0:
             return 0.0
         return ((self.model_per_iteration_us - self.best_per_iteration_us)
                 / self.best_per_iteration_us * 100.0)
 
 
-def tune(size: str, gpus: int, iterations: int = 20, *,
+def tune(config: StencilConfig, *,
+         grid: list[OverlapSchedule] | None = None,
+         model: OverlapSchedule | None = None,
          budget: int | None = None,
          runner: SweepRunner | None = None) -> TuneResult:
-    """Search the schedule grid for one configuration."""
+    """Measure a schedule grid for one configuration.
+
+    ``grid`` defaults to :func:`schedule_grid` and ``model`` to the cost
+    model's :func:`choose_schedule`; ``budget`` keeps the first N grid
+    entries.  The model's schedule is always measured: when the budget
+    cut it, it is appended to the grid.  Trials run timing-only
+    whatever ``config.with_data`` says.
+    """
     runner = runner if runner is not None else active_runner()
-    config = _config(size, gpus, iterations)
-    grid = schedule_grid(config, budget=budget)
-    model = choose_schedule(config)
-    tasks = [
-        (size, gpus, iterations, s.chunks, s.boundary_tb_per_side,
-         s.fuse_boundary)
-        for s in grid
-    ]
-    measured = runner.map(trial_point, tasks)
+    config = replace(config, with_data=False)
+    if model is None:
+        model = choose_schedule(config)
+    grid = list(schedule_grid(config) if grid is None else grid)[:budget]
+    if model not in grid:
+        grid.append(model)
+    measured = runner.map(trial_point, [(config, s) for s in grid])
     cpufree_row = runner.map(_stencil_point, [("cpufree", config)])[0]
     best_i = min(range(len(grid)),
                  key=lambda i: (measured[i]["per_iteration_us"], i))
-    model_us = next(
-        m["per_iteration_us"]
-        for s, m in zip(grid, measured) if s == model
-    )
     return TuneResult(
-        size=size, gpus=gpus, iterations=iterations,
+        config=config,
         best=grid[best_i],
         best_per_iteration_us=measured[best_i]["per_iteration_us"],
         cpufree_per_iteration_us=cpufree_row.per_iteration_us,
         model=model,
-        model_per_iteration_us=model_us,
+        model_per_iteration_us=measured[grid.index(model)]["per_iteration_us"],
         trials=[
             {"schedule": s.describe(), **m}
             for s, m in zip(grid, measured)
@@ -181,14 +218,15 @@ def tune(size: str, gpus: int, iterations: int = 20, *,
     )
 
 
-def schedule_payload(result: TuneResult) -> dict:
-    """The byte-stable best-schedule document (``--out``)."""
+def schedule_payload(result: TuneResult, size: str) -> dict:
+    """The byte-stable best-schedule document (``--out``); ``size``
+    labels the domain (the CLI's size class)."""
     return {
         "format": SCHEDULE_FORMAT,
-        "app": "jacobi2d",
-        "size": result.size,
-        "gpus": result.gpus,
-        "iterations": result.iterations,
+        "app": f"jacobi{len(result.config.global_shape)}d",
+        "size": size,
+        "gpus": result.config.num_gpus,
+        "iterations": result.config.iterations,
         "schedule": result.best.describe(),
         "best_per_iteration_us": result.best_per_iteration_us,
         "cpufree_per_iteration_us": result.cpufree_per_iteration_us,

@@ -22,8 +22,8 @@ import argparse
 import json
 import sys
 
-from repro.bench.figures import DEFAULT_GPU_COUNTS, SIZE_CLASSES_2D
-from repro.cliutil import cli_entry, output_path, positive_int
+from repro.bench.figures import DEFAULT_GPU_COUNTS, SIZE_CLASSES_2D, weak_shape_2d
+from repro.cliutil import cli_entry, output_path, positive_int, stencil_config
 from repro.obs.stablejson import dump_stable
 from repro.perf import ResultCache, SweepManifest, SweepRunner
 from repro.perf.cache import DEFAULT_CACHE_DIR
@@ -39,20 +39,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--size", type=str, default="large",
                         choices=sorted(SIZE_CLASSES_2D),
                         help="2D domain size class (default: large)")
-    parser.add_argument("--gpus", type=int, default=8,
+    parser.add_argument("--gpus", type=positive_int, default=8,
                         help="GPU count / topology scale (default: 8)")
-    parser.add_argument("--iterations", type=int, default=20,
+    parser.add_argument("--iterations", type=positive_int, default=20,
                         help="time steps per trial (default: 20)")
     parser.add_argument("--budget", type=positive_int, default=None, metavar="N",
-                        help="measure at most N candidates from the "
-                             "priority-ordered grid (default: all)")
+                        help="measure the first N candidates of the "
+                             "priority-ordered grid, plus the cost model's "
+                             "schedule if they miss it (default: all)")
     parser.add_argument("--out", type=output_path, default=None, metavar="PATH",
                         help="write the byte-stable best-schedule JSON here")
     parser.add_argument("--winloss-out", type=output_path, default=None, metavar="PATH",
                         help="also sweep auto_overlap vs cpufree across the "
                              "figure suite's (size x gpus) points and write "
                              "the win/loss table here (BENCH_PR10.json)")
-    parser.add_argument("--winloss-iterations", type=int, default=40,
+    parser.add_argument("--winloss-iterations", type=positive_int, default=40,
                         help="time steps per win/loss point (default: 40, "
                              "matching the figure suite)")
     parser.add_argument("--jobs", "-j", type=positive_int, default=1, metavar="N",
@@ -71,6 +72,8 @@ def main(argv: list[str] | None = None) -> int:
                              "the cache (tallies print to stdout); requires "
                              "the cache")
     args = parser.parse_args(argv)
+    config = stencil_config(weak_shape_2d(SIZE_CLASSES_2D[args.size], args.gpus),
+                            args.gpus, args.iterations, with_data=False)
 
     cache = None if args.no_cache else ResultCache(args.cache_dir)
     if cache is None and (args.save_manifest or args.changed_only):
@@ -86,8 +89,7 @@ def main(argv: list[str] | None = None) -> int:
     runner = SweepRunner(jobs=args.jobs, cache=cache, manifest=manifest,
                          baseline=baseline)
 
-    result = tune(args.size, args.gpus, args.iterations,
-                  budget=args.budget, runner=runner)
+    result = tune(config, budget=args.budget, runner=runner)
     print(f"tuned jacobi2d size={args.size} gpus={args.gpus} "
           f"iterations={args.iterations}: {len(result.trials)} trial(s)")
     print(f"  best schedule: {result.best.describe()} "
@@ -97,7 +99,7 @@ def main(argv: list[str] | None = None) -> int:
           f"(regret {result.model_regret_percent:.2f}%)")
     print(f"  hand-tuned cpufree: {result.cpufree_per_iteration_us:.3f} us/iter")
     if args.out:
-        dump_stable(schedule_payload(result), args.out)
+        dump_stable(schedule_payload(result, args.size), args.out)
         print(f"best-schedule JSON written to {args.out}")
 
     if args.winloss_out:

@@ -212,13 +212,15 @@ class TestErrorConventionAcrossClis:
         ) == 2
         assert capsys.readouterr().err.startswith("error: unknown variant")
 
-    def test_obs_diff_unreadable_input(self, capsys, tmp_path):
+    def test_obs_regress_unreadable_input(self, capsys, tmp_path):
         missing = tmp_path / "does-not-exist.json"
-        assert cli_entry(main, ["diff", str(missing), str(missing)]) == 2
+        assert cli_entry(main, ["regress", str(missing), str(missing)]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
 
-class TestDiff:
+class TestRegressDumps:
+    """``regress OLD.json NEW.json``: two metric dumps, lower is better."""
+
     @staticmethod
     def _dump(path, values):
         from repro.obs.metrics import MetricsRegistry
@@ -232,33 +234,54 @@ class TestDiff:
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._dump(a, {"sim.events_dispatched": 100})
         self._dump(b, {"sim.events_dispatched": 100})
-        assert main(["diff", str(a), str(b)]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
+        assert main(["regress", str(a), str(b)]) == 0
+        assert "1 point(s) compared: 1 ok" in capsys.readouterr().out
 
     def test_injected_regression_exits_nonzero(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._dump(a, {"sim.events_dispatched": 100})
         self._dump(b, {"sim.events_dispatched": 150})
-        assert main(["diff", str(a), str(b)]) == 1
+        assert main(["regress", str(a), str(b)]) == 1
         out = capsys.readouterr().out
-        assert "REGRESSION" in out and "+50.0%" in out
+        assert "[regression] sim.events_dispatched" in out and "+50.0%" in out
 
-    def test_threshold_tolerates_small_increase(self, tmp_path):
+    def test_rtol_tolerates_small_increase(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._dump(a, {"x": 100})
         self._dump(b, {"x": 104})
-        assert main(["diff", str(a), str(b), "--threshold", "0.05"]) == 0
-        assert main(["diff", str(a), str(b), "--threshold", "0.01"]) == 1
+        assert main(["regress", str(a), str(b), "--rtol", "0.05"]) == 0
+        assert main(["regress", str(a), str(b), "--rtol", "0.01"]) == 1
+        assert main(["regress", str(a), str(b), "--rtol", "0.01",
+                     "--rtol-for", "x=0.05"]) == 0
 
     def test_improvement_exits_zero(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         self._dump(a, {"x": 100})
         self._dump(b, {"x": 50})
-        assert main(["diff", str(a), str(b)]) == 0
-        assert "improved" in capsys.readouterr().out
+        assert main(["regress", str(a), str(b), "--show-ok"]) == 0
+        assert "[improved] x" in capsys.readouterr().out
 
-    def test_nested_bench_json_diffable(self, tmp_path):
+    def test_nested_bench_json_comparable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         a.write_text(json.dumps({"suite": {"wall_seconds": 2.0}}))
         b.write_text(json.dumps({"suite": {"wall_seconds": 1.9}}))
-        assert main(["diff", str(a), str(b)]) == 0
+        assert main(["regress", str(a), str(b)]) == 0
+
+    def test_one_sided_keys_print_missing_and_added(self, tmp_path, capsys):
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        self._dump(a, {"gone": 1, "kept": 1})
+        self._dump(b, {"kept": 1, "new": 1})
+        assert main(["regress", str(a), str(b)]) == 0
+        out = capsys.readouterr().out
+        assert "[missing] gone" in out and "[added] new" in out
+
+    @pytest.mark.parametrize("extra", [["--run", "x"], ["--baseline", "x"],
+                                       ["--field", "wall_s"]])
+    def test_history_options_rejected_for_two_dumps(self, tmp_path, capsys,
+                                                     extra):
+        a = tmp_path / "a.json"
+        self._dump(a, {"x": 1})
+        with pytest.raises(SystemExit) as exc:
+            main(["regress", str(a), str(a), *extra])
+        assert exc.value.code == 2
+        assert "error:" in capsys.readouterr().err

@@ -1,13 +1,21 @@
-"""Perf history store and the noise-aware regression gate."""
+"""Perf history store, metric-dump flattening and the noise-aware
+regression gate."""
+
+import json
+import math
 
 import pytest
 
 from repro.obs.history import (
     HistoryStore,
+    compare,
+    flatten_metrics,
+    load_metrics,
     normalized_identity,
     regress,
     regress_table,
 )
+from repro.obs.metrics import MetricsRegistry
 
 
 @pytest.fixture
@@ -174,6 +182,88 @@ class TestRegress:
         for value in (10.0, 10.0, 99.0):  # one outlier repetition
             store.append({"run": "check", "id": "a", "per_iter_us": value})
         assert regress(store).ok
+
+    def test_drop_from_zero_baseline_is_an_improvement(self, store):
+        """A move away from 0 is ±inf by its direction, never a blanket
+        infinite increase."""
+        _fill(store, "base", {"down": 0.0, "up": 0.0})
+        _fill(store, "check", {"down": -1.0, "up": 1.0})
+        by_id = {e.id: e for e in regress(store).entries}
+        assert by_id["down"].rel == -math.inf
+        assert by_id["down"].status == "improved"
+        assert by_id["up"].rel == math.inf
+        assert by_id["up"].status == "regression"
+        # a higher-is-better field reads the same moves the other way
+        _fill(store, "base", {"x": 0.0}, field="overlap")
+        _fill(store, "check", {"x": 0.5}, field="overlap")
+        (entry,) = regress(store, field_name="overlap").entries
+        assert entry.rel == math.inf and entry.status == "improved"
+
+
+class TestCompare:
+    """The comparator itself, over two plain ``{id: value}`` maps (what
+    ``regress OLD.json NEW.json`` feeds it); lower is better."""
+
+    def test_equal_values_have_zero_rel(self):
+        (entry,) = compare({"x": 5.0}, {"x": 5.0}, rtol=0.0).entries
+        assert entry.rel == 0.0 and entry.status == "ok"
+
+    def test_relative_increase(self):
+        (entry,) = compare({"x": 10.0}, {"x": 12.0}, rtol=0.05).entries
+        assert entry.rel == pytest.approx(0.2)
+        assert entry.status == "regression"
+        assert compare({"x": 10.0}, {"x": 12.0}, rtol=0.25).ok
+
+    def test_decrease_is_never_a_regression(self):
+        (entry,) = compare({"x": 10.0}, {"x": 5.0}, rtol=0.0).entries
+        assert entry.rel == pytest.approx(-0.5)
+        assert entry.status == "improved"
+
+    def test_from_zero_is_infinite_increase(self):
+        (entry,) = compare({"x": 0.0}, {"x": 1.0}, rtol=1000.0).entries
+        assert math.isinf(entry.rel) and entry.rel > 0
+        assert entry.status == "regression"
+
+    def test_only_shared_keys_compared(self):
+        report = compare({"a": 1.0, "b": 2.0}, {"b": 2.0, "c": 3.0})
+        assert {e.id: e.status for e in report.entries} \
+            == {"a": "missing", "b": "ok", "c": "added"}
+        assert report.ok  # one-sided keys never fail the gate
+
+    def test_sorted_by_key(self):
+        values = {"z": 1.0, "a": 1.0, "m": 1.0}
+        report = compare(values, dict(values))
+        assert [e.id for e in report.entries] == ["a", "m", "z"]
+
+
+class TestFlatten:
+    def test_registry_dump_shape(self):
+        reg = MetricsRegistry()
+        reg.counter("ops", src=0, dst=1).inc(3)
+        reg.gauge("level").set(7)
+        reg.histogram("wait", edges=(1.0,)).observe(0.5)
+        flat = flatten_metrics(json.loads(reg.to_json()))
+        assert flat["ops{dst=1,src=0}"] == 3.0
+        assert flat["level"] == 7.0
+        assert flat["wait:sum"] == 0.5
+        assert flat["wait:count"] == 1.0
+
+    def test_nested_json_shape(self):
+        payload = {
+            "pr": 2,
+            "suite": {"wall_seconds": 1.5, "name": "figures"},
+            "flags": {"enabled": True},
+        }
+        flat = flatten_metrics(payload)
+        assert flat == {"pr": 2.0, "suite.wall_seconds": 1.5}
+        # strings and bools are not metrics
+        assert "suite.name" not in flat and "flags.enabled" not in flat
+
+    def test_load_metrics_rejects_non_object(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("[1, 2, 3]\n")
+        with pytest.raises(ValueError, match="expected a JSON object"):
+            load_metrics(str(path))
 
 
 class TestRegressTable:

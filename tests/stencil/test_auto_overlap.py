@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.bench.figures import SIZE_CLASSES_2D, weak_shape_2d
+from repro.core import SpecializationPlan
 from repro.obs.stablejson import dumps_stable
 from repro.obs.timeline import pe_phases
 from repro.perf import ResultCache, SweepManifest, SweepRunner
@@ -14,12 +16,26 @@ from repro.stencil.variants.auto_overlap import (
     choose_schedule,
     model_inner_time_us,
 )
-from repro.tune import schedule_grid, schedule_payload, tune, win_loss_payload
+from repro.tune import (
+    candidate_splits,
+    formula_schedule,
+    schedule_grid,
+    schedule_payload,
+    tb_split_grid,
+    tune,
+    win_loss_payload,
+)
 
 
 def _config(shape=(256, 258), gpus=4, iterations=10, **kw):
     return StencilConfig(global_shape=shape, num_gpus=gpus,
                          iterations=iterations, **kw)
+
+
+def _sized(size, gpus, iterations):
+    """The CLI's configuration for ``--size SIZE --gpus N``."""
+    return _config(weak_shape_2d(SIZE_CLASSES_2D[size], gpus), gpus,
+                   iterations, with_data=False)
 
 
 LARGE = (8192, 8194)
@@ -120,36 +136,62 @@ class TestTune:
         assert grid == schedule_grid(config)
         assert len(grid) == len(set(grid))
         # a small budget still spans every axis
-        small = schedule_grid(config, budget=16)
+        small = schedule_grid(config)[:16]
         assert {s.chunks for s in small} == set(CHUNK_CANDIDATES)
         assert any(s.boundary_tb_per_side is not None for s in small)
         assert any(s.fuse_boundary for s in small)
 
     def test_tune_never_worse_than_cpufree(self):
-        result = tune("small", 4, iterations=6, budget=8)
+        result = tune(_sized("small", 4, 6), budget=8)
+        # the model's schedule is inside this budget: nothing is appended
+        assert len(result.trials) == 8
         assert result.best_per_iteration_us <= result.cpufree_per_iteration_us
-        assert dumps_stable(schedule_payload(result)) \
-            == dumps_stable(schedule_payload(result))
+        assert dumps_stable(schedule_payload(result, "small")) \
+            == dumps_stable(schedule_payload(result, "small"))
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_budget_that_cuts_the_model_still_measures_it(self, budget):
+        """At the CLI's default large/8 the model seeds chunks=6, which a
+        budget of 1 or 2 cuts from the grid; it is measured anyway."""
+        config = _sized("large", 8, 4)
+        model = choose_schedule(config)
+        assert model not in schedule_grid(config)[:budget]
+        result = tune(config, budget=budget)
+        assert len(result.trials) == budget + 1
+        assert result.trials[-1]["schedule"] == model.describe()
+        assert result.model == model
+        assert result.model_per_iteration_us \
+            == result.trials[-1]["per_iteration_us"] > 0.0
+
+    def test_any_shape_and_dimension(self):
+        result = tune(_config((4 * 4 + 2, 34, 34), gpus=4, iterations=3),
+                      budget=3)
+        payload = schedule_payload(result, "thin")
+        assert payload["app"] == "jacobi3d"
+        assert payload["gpus"] == 4 and payload["iterations"] == 3
 
     def test_cache_replay_and_byte_stable_schedule(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
         manifest = SweepManifest()
-        first = tune("small", 2, iterations=4, budget=6,
+        first = tune(_sized("small", 2, 4), budget=6,
                      runner=SweepRunner(cache=cache, manifest=manifest))
         manifest.save(tmp_path / "m.json")
         baseline = SweepManifest.load(tmp_path / "m.json")
         replay_runner = SweepRunner(cache=cache, baseline=baseline)
-        second = tune("small", 2, iterations=4, budget=6,
+        second = tune(_sized("small", 2, 4), budget=6,
                       runner=replay_runner)
         # >= 90% replayed is the acceptance bar; unchanged repo -> 100%
         assert replay_runner.replayed == len(manifest)
         assert replay_runner.changed == replay_runner.added == 0
-        assert dumps_stable(schedule_payload(first)) \
-            == dumps_stable(schedule_payload(second))
+        assert dumps_stable(schedule_payload(first, "small")) \
+            == dumps_stable(schedule_payload(second, "small"))
 
     @pytest.mark.parametrize("argv", [
         ["--budget", "0"],
         ["--jobs", "0"],
+        ["--gpus", "0"],
+        ["--iterations", "0"],
+        ["--winloss-iterations", "0"],
         ["--out", "/nonexistent/d/schedule.json"],
         ["--winloss-out", "/nonexistent/d/winloss.json"],
     ])
@@ -173,3 +215,85 @@ class TestTune:
         assert table["wins"] + table["ties"] + table["losses"] == 2
         for point in table["points"]:
             assert point["outcome"] in ("win", "tie", "loss")
+
+
+class TestCandidates:
+    def test_candidates_start_at_one(self):
+        assert candidate_splits(216)[0] == 1
+
+    def test_candidates_within_feasible_range(self):
+        for c in candidate_splits(216):
+            assert 1 <= c <= (216 - 1) // 2
+
+    def test_candidates_strictly_increasing(self):
+        cs = candidate_splits(216)
+        assert all(a < b for a, b in zip(cs, cs[1:]))
+
+    def test_limit_included(self):
+        cs = candidate_splits(216)
+        assert cs[-1] == (216 - 1) // 2
+
+    def test_tiny_device_rejected(self):
+        with pytest.raises(ValueError):
+            candidate_splits(2)
+
+
+def _formula_check(config):
+    """The §4.1.2 check: the chunks=1 TB-split grid, formula as model."""
+    return tune(config, grid=tb_split_grid(config),
+                model=formula_schedule(config))
+
+
+class TestFormulaCheck:
+    @pytest.fixture(scope="class")
+    def balanced(self):
+        return _formula_check(_config((2048 + 2, 2048 + 2), gpus=8,
+                                      with_data=False))
+
+    def test_grid_is_the_candidates_plus_the_formula(self):
+        config = _config((2048 + 2, 2048 + 2), gpus=8)
+        tb_total = config.node.gpu.max_coresident_blocks(config.threads_per_block)
+        grid = tb_split_grid(config)
+        formula = formula_schedule(config)
+        assert formula.chunks == 1 and formula in grid
+        assert all(s.chunks == 1 and not s.fuse_boundary for s in grid)
+        splits = [s.boundary_tb_per_side for s in grid]
+        assert splits == sorted(set(splits))
+        assert set(candidate_splits(tb_total)) <= set(splits)
+
+    def test_formula_split_is_cpufrees(self, balanced):
+        """Pinning the formula's split reproduces cpufree exactly."""
+        assert balanced.model_per_iteration_us \
+            == balanced.cpufree_per_iteration_us
+
+    def test_measurements_cover_candidates(self, balanced):
+        assert len(balanced.trials) >= 5
+        assert all(t["per_iteration_us"] > 0 for t in balanced.trials)
+
+    def test_formula_near_optimum_on_balanced_domain(
+            self, balanced):
+        """§4.1.2's formula should be near-optimal where it applies."""
+        assert balanced.model_regret_percent < 10.0
+
+    def test_best_plan_is_feasible(self, balanced):
+        config = balanced.config
+        plan = SpecializationPlan(
+            tb_total=config.node.gpu.max_coresident_blocks(config.threads_per_block),
+            boundary_tb_per_side=balanced.best.boundary_tb_per_side, sides=2)
+        assert plan.inner_tb >= 1
+        assert plan.boundary_tb_per_side >= 1
+
+    def test_unbalanced_3d_prefers_more_boundary_blocks(self):
+        """Thin-slab 3D: the optimum needs far more than one boundary
+        block — the regime where the proportional formula matters."""
+        result = _formula_check(_config((4 * 8 + 2, 1024 + 2, 1024 + 2),
+                                        gpus=8, with_data=False))
+        assert result.best.boundary_tb_per_side > 1
+        # and the formula lands close to the empirical best
+        assert result.model_regret_percent < 25.0
+
+    def test_regret_zero_when_formula_is_best(self):
+        result = _formula_check(_config((4096 + 2, 4096 + 2), gpus=8,
+                                        with_data=False))
+        assert result.best == result.model
+        assert result.model_regret_percent == 0.0
